@@ -126,6 +126,25 @@ fn bench_fbs(opts: &BenchOpts) {
     run_named(opts, "fbs/cmult_relin", || {
         ev.mul(std::hint::black_box(&ct), &ct, &rlk)
     });
+    // The two exact RNS kernels inside every CMult, each against its
+    // big-integer reference: the centered lift Q → Q ∪ P of one ciphertext
+    // part and the t/Q rescale of one (coefficient-form) tensor component.
+    let part = ctx.q_basis().poly_to_coeff(&ct.parts()[1]);
+    let mb = ctx.mult_basis();
+    let lifted = mb.poly_to_eval(&ctx.tensor_lift(&part));
+    let tensor = mb.poly_to_coeff(&mb.mul_poly(&lifted, &lifted));
+    run_named(opts, "fbs/tensor_lift", || {
+        ctx.tensor_lift(std::hint::black_box(&part))
+    });
+    run_named(opts, "fbs/tensor_lift_reference", || {
+        ctx.tensor_lift_reference(std::hint::black_box(&part))
+    });
+    run_named(opts, "fbs/tensor_scale", || {
+        ctx.tensor_scale(std::hint::black_box(&tensor))
+    });
+    run_named(opts, "fbs/tensor_scale_reference", || {
+        ctx.tensor_scale_reference(std::hint::black_box(&tensor))
+    });
     // One SMult (the baby-step unit).
     run_named(opts, "fbs/smult", || {
         ev.mul_scalar(std::hint::black_box(&ct), 123)

@@ -8,10 +8,15 @@
 //! and the invariant-noise-budget probe used by the Table 4 analysis.
 //!
 //! Ciphertext multiplication takes the **exact** route: operands are lifted
-//! (centered) into an extended RNS basis, tensored there, and the `t/Q`
-//! scaling is performed coefficient-wise with big-integer rounding. This is
-//! the reference semantics that the accelerator's fast-base-conversion
-//! datapath (FRU) reproduces approximately in hardware.
+//! (centered) into an extended RNS basis `Q ∪ P`, tensored there, and
+//! scaled by `t/Q` back into `Q` with exact rounding. Both the lift and the
+//! rescale run as word-sized RNS kernels (Halevi–Polyakov–Shoup, see
+//! [`athena_math::baseconv`]) — the base-conversion work the accelerator's
+//! FRU performs with modular multiply-accumulates. Only a coefficient whose
+//! floating-point rounding decision lands within a hair of `½` is
+//! recomputed with big integers, so results are bit-identical to the
+//! big-integer CRT reference ([`BfvContext::tensor_lift_reference`],
+//! [`BfvContext::tensor_scale_reference`]).
 //!
 //! ## Representation invariants
 //!
@@ -32,6 +37,7 @@
 //! [`mul_no_relin`]: BfvEvaluator::mul_no_relin
 
 use athena_math::arena::LimbVec;
+use athena_math::baseconv::{CenteredConv, TensorScaler, MAX_LIMBS};
 use athena_math::bigint::{IBig, UBig};
 use athena_math::par;
 use athena_math::poly::{Domain, Poly};
@@ -55,6 +61,10 @@ pub struct BfvContext {
     delta_mod_qi: Vec<u64>,
     /// RNS gadget g_i = (Q/q_i)·[(Q/q_i)^{-1}]_{q_i} as residues mod every q_j.
     gadget: Vec<Vec<u64>>,
+    /// Centered lift `Q → P` of the tensor step.
+    lift_conv: CenteredConv,
+    /// `t/Q` rescale `Q ∪ P → Q` of the tensor step.
+    scaler: TensorScaler,
     delta: UBig,
     q: UBig,
     half_q: UBig,
@@ -65,11 +75,20 @@ impl BfvContext {
     ///
     /// # Panics
     ///
-    /// Panics if the parameters fail validation.
+    /// Panics if the parameters fail validation, or if the auxiliary
+    /// primes miss the `P ≥ 2⁸·t·N·Q` margin the exact tensor rescale
+    /// relies on.
     pub fn new(params: BfvParams) -> Self {
         params.validate();
         let qb = params.q_basis();
         let mb = params.mult_basis();
+        let aux = &mb.moduli()[qb.len()..];
+        assert!(
+            params.aux_margin_holds(aux),
+            "aux primes must give P ≥ 2^8·t·N·Q"
+        );
+        let lift_conv = CenteredConv::new(&params.q_primes, aux);
+        let scaler = TensorScaler::new(&params.q_primes, aux, params.t);
         let encoder = SlotEncoder::new(params.t, params.n);
         let q = params.q_product();
         let delta = params.delta();
@@ -100,6 +119,8 @@ impl BfvContext {
             encoder,
             delta_mod_qi,
             gadget,
+            lift_conv,
+            scaler,
             delta,
             q,
             half_q,
@@ -254,6 +275,75 @@ impl BfvContext {
         })
     }
 
+    /// Lifts a coefficient-form polynomial over `Q` into the extended basis
+    /// `Q ∪ P`, **centered**: each coefficient `x ∈ [0, Q)` becomes `x` or
+    /// `x − Q`, whichever lies in `(−Q/2, Q/2)`. The `Q` limbs are copied;
+    /// the `P` limbs come from the word-sized [`CenteredConv`] kernel.
+    /// Bit-identical to [`tensor_lift_reference`](Self::tensor_lift_reference).
+    pub fn tensor_lift(&self, p: &RnsPoly) -> RnsPoly {
+        self.lift_with(p, |x, out| self.lift_conv.convert(x, out))
+    }
+
+    /// Big-integer reference for [`tensor_lift`](Self::tensor_lift): CRT
+    /// reconstruction of every coefficient (test oracle and benchmark
+    /// baseline).
+    pub fn tensor_lift_reference(&self, p: &RnsPoly) -> RnsPoly {
+        self.lift_with(p, |_, _| false)
+    }
+
+    /// Scales a tensored component over `Q ∪ P` (either domain) by `t/Q`
+    /// with exact rounding of the centered value, into coefficient form
+    /// over `Q`, with the word-sized [`TensorScaler`] kernel.
+    ///
+    /// The input must be a tensor product of centered lifts (coefficients
+    /// of magnitude at most `N·Q²/2`), the precondition the `P` margin
+    /// checked in [`BfvContext::new`] covers. Bit-identical to
+    /// [`tensor_scale_reference`](Self::tensor_scale_reference) on such
+    /// inputs.
+    pub fn tensor_scale(&self, p: &RnsPoly) -> RnsPoly {
+        self.scale_with(p, |x, out| self.scaler.scale(x, out))
+    }
+
+    /// Big-integer reference for [`tensor_scale`](Self::tensor_scale): CRT
+    /// reconstruction and long division for every coefficient (test oracle
+    /// and benchmark baseline).
+    pub fn tensor_scale_reference(&self, p: &RnsPoly) -> RnsPoly {
+        self.scale_with(p, |_, _| false)
+    }
+
+    /// Common loop of the lift paths: `fast` writes one coefficient's `P`
+    /// residues or declines, in which case they are computed with big
+    /// integers.
+    fn lift_with(&self, p: &RnsPoly, fast: impl Fn(&[u64], &mut [u64]) -> bool) -> RnsPoly {
+        debug_assert_eq!(p.domain(), Domain::Coeff, "CRT lift reads coefficients");
+        let aux_rings = &self.mb.rings()[self.qb.len()..];
+        let mut limbs = p.limbs().to_vec();
+        limbs.extend(map_residues(p, aux_rings.len(), |x, out| {
+            if !fast(x, out) {
+                let c = self.qb.crt_reconstruct_centered(x);
+                for (o, r) in out.iter_mut().zip(aux_rings) {
+                    *o = c.rem_euclid_u64(r.modulus().value());
+                }
+            }
+        }));
+        RnsPoly::from_limbs(limbs)
+    }
+
+    /// Common loop of the rescale paths (see [`lift_with`](Self::lift_with)).
+    fn scale_with(&self, p: &RnsPoly, fast: impl Fn(&[u64], &mut [u64]) -> bool) -> RnsPoly {
+        let p = self.mb.poly_to_coeff(p);
+        let limbs = map_residues(&p, self.qb.len(), |x, out| {
+            if !fast(x, out) {
+                let c = self.mb.crt_reconstruct_centered(x);
+                let w = IBig::new(c.neg, c.mag.mul_u64(self.params.t).div_round(&self.q));
+                for (o, r) in out.iter_mut().zip(self.qb.rings()) {
+                    *o = w.rem_euclid_u64(r.modulus().value());
+                }
+            }
+        });
+        RnsPoly::from_limbs(limbs)
+    }
+
     fn sample_error(&self, sampler: &mut Sampler) -> RnsPoly {
         let e = sampler.gaussian(self.params.n);
         self.qb.poly_from_i64(&e)
@@ -273,6 +363,28 @@ impl BfvContext {
             .collect();
         RnsPoly::from_limbs(limbs)
     }
+}
+
+/// Applies `f` to every coefficient's residue vector of a coefficient-form
+/// `p`, collecting `out_limbs` output limbs (one arena checkout each).
+/// Per-coefficient scratch lives on the stack.
+fn map_residues(p: &RnsPoly, out_limbs: usize, mut f: impl FnMut(&[u64], &mut [u64])) -> Vec<Poly> {
+    debug_assert_eq!(p.domain(), Domain::Coeff);
+    let (k, n) = (p.limb_count(), p.n());
+    let mut out: Vec<LimbVec> = (0..out_limbs).map(|_| LimbVec::take_raw(n)).collect();
+    let (mut x, mut y) = ([0u64; MAX_LIMBS], [0u64; MAX_LIMBS]);
+    for j in 0..n {
+        for (xi, limb) in x.iter_mut().zip(p.limbs()) {
+            *xi = limb.values()[j];
+        }
+        f(&x[..k], &mut y[..out_limbs]);
+        for (o, &v) in out.iter_mut().zip(&y[..out_limbs]) {
+            o[j] = v;
+        }
+    }
+    out.into_iter()
+        .map(|v| Poly::from_limbs(v, Domain::Coeff))
+        .collect()
 }
 
 /// The RLWE secret key: ternary coefficients, kept both as signed integers
@@ -819,75 +931,6 @@ impl<'a> BfvEvaluator<'a> {
         BfvCiphertext { parts }
     }
 
-    /// Lifts a ciphertext part into the extended basis, centered.
-    fn lift_centered(&self, p: &RnsPoly) -> RnsPoly {
-        let ctx = self.ctx;
-        debug_assert_eq!(p.domain(), Domain::Coeff, "CRT lift reads coefficients");
-        let coeffs = ctx.qb.poly_to_ubig(p);
-        let n = ctx.params.n;
-        let limbs = ctx
-            .mb
-            .rings()
-            .iter()
-            .map(|r| {
-                let m = r.modulus();
-                debug_assert_eq!(coeffs.len(), n);
-                let mut vals = LimbVec::take_raw(n);
-                for (o, c) in vals.iter_mut().zip(&coeffs) {
-                    *o = if *c > ctx.half_q {
-                        let mag = ctx.q.sub(c);
-                        m.neg(mag.rem_u64(m.value()))
-                    } else {
-                        c.rem_u64(m.value())
-                    };
-                }
-                Poly::from_limbs(vals, Domain::Coeff)
-            })
-            .collect();
-        RnsPoly::from_limbs(limbs)
-    }
-
-    /// Scales a tensored component by `t/Q` with exact rounding and reduces
-    /// back into the `Q` basis.
-    fn scale_to_q(&self, p: &RnsPoly) -> RnsPoly {
-        let ctx = self.ctx;
-        let p = ctx.mb.poly_to_coeff(p);
-        let n = ctx.params.n;
-        let k = ctx.mb.len();
-        let d = ctx.mb.product();
-        let half_d = d.shr(1);
-        let mut out_coeffs: Vec<IBig> = Vec::with_capacity(n);
-        let mut residues = vec![0u64; k];
-        for j in 0..n {
-            for (i, limb) in p.limbs().iter().enumerate() {
-                residues[i] = limb.values()[j];
-            }
-            let x = ctx.mb.crt_reconstruct(&residues);
-            let (neg, mag) = if x > half_d {
-                (true, d.sub(&x))
-            } else {
-                (false, x)
-            };
-            let w = mag.mul_u64(ctx.params.t).div_round(&ctx.q);
-            out_coeffs.push(IBig::new(neg, w));
-        }
-        let limbs = ctx
-            .qb
-            .rings()
-            .iter()
-            .map(|r| {
-                let m = r.modulus();
-                let mut vals = LimbVec::take_raw(n);
-                for (o, c) in vals.iter_mut().zip(&out_coeffs) {
-                    let v = c.mag.rem_u64(m.value());
-                    *o = if c.neg { m.neg(v) } else { v };
-                }
-                Poly::from_limbs(vals, Domain::Coeff)
-            })
-            .collect();
-        RnsPoly::from_limbs(limbs)
-    }
-
     /// Ciphertext multiplication without relinearization (result size 3,
     /// coefficient form). The centered CRT lift into the extended basis is
     /// the second forced-Coeff boundary: Eval-resident operands are
@@ -914,7 +957,7 @@ impl<'a> BfvEvaluator<'a> {
             .parts
             .iter()
             .map(|p| {
-                let mut lifted = self.lift_centered(&ctx.qb.poly_to_coeff(p));
+                let mut lifted = ctx.tensor_lift(&ctx.qb.poly_to_coeff(p));
                 ctx.mb.poly_to_eval_inplace(&mut lifted);
                 lifted
             })
@@ -936,9 +979,9 @@ impl<'a> BfvEvaluator<'a> {
         let e2 = ctx.mb.mul_poly(&a.parts[1], &b.parts[1]);
         BfvCiphertext {
             parts: vec![
-                self.scale_to_q(&e0),
-                self.scale_to_q(&e1),
-                self.scale_to_q(&e2),
+                ctx.tensor_scale(&e0),
+                ctx.tensor_scale(&e1),
+                ctx.tensor_scale(&e2),
             ],
         }
     }
@@ -1179,7 +1222,8 @@ mod tests {
         let sum = ev.decrypt(&ev.add(&ca, &cb), &sk);
         assert_eq!(&sum.values()[..3], &[11, 22, (30 + 250) % 257]);
         let diff = ev.decrypt(&ev.sub(&ca, &cb), &sk);
-        assert_eq!(&diff.values()[..3], &[9, 18, (30 + 257 - 250) % 257]);
+        // 30 − 250 ≡ 37 (mod 257)
+        assert_eq!(&diff.values()[..3], &[9, 18, 37]);
     }
 
     #[test]

@@ -101,8 +101,9 @@ impl BfvParams {
     }
 
     /// Builds the extended basis used during ciphertext multiplication:
-    /// `Q ∪ P` with `P` big enough that the tensor product never wraps
-    /// (`|P| · |Q| > N · Q² · t`, with margin).
+    /// `Q ∪ P` with `P` big enough that the tensor product never wraps and
+    /// its `t/Q` rescale fits `P` with room to spare (`P ≥ 2⁸·t·N·Q`, see
+    /// [`aux_margin_holds`](Self::aux_margin_holds)).
     pub fn mult_basis(&self) -> RnsBasis {
         let mut primes = self.q_primes.clone();
         primes.extend_from_slice(&self.aux_primes());
@@ -111,17 +112,32 @@ impl BfvParams {
 
     /// Auxiliary primes appended for multiplication.
     pub fn aux_primes(&self) -> Vec<u64> {
-        // Need P > N * Q * t * margin (tensor coeffs are bounded by
-        // N * (Q/2)^2, and we carry them modulo Q*P).
+        // Need P ≥ 2^8 · t · N · Q (tensor coeffs are bounded by N·Q²/2 and
+        // carried modulo Q·P; their t/Q rescale must stay below P/2^9).
         let q_bits: u32 = self.q_primes.iter().map(|&p| 64 - p.leading_zeros()).sum();
         let need_bits = q_bits + (self.n as u64).ilog2() + (64 - self.t.leading_zeros()) + 8;
         let prime_bits = 55u32;
+        // Each 55-bit prime contributes at least 54 bits.
         let count = need_bits.div_ceil(prime_bits - 1) as usize;
-        // Pick primes disjoint from q_primes by going one bit smaller.
+        // Same-width primes: skip any that are already limbs of Q.
         let mut cands = ntt_primes(prime_bits, self.n, count + self.q_primes.len());
         cands.retain(|p| !self.q_primes.contains(p));
         cands.truncate(count);
         cands
+    }
+
+    /// Whether the auxiliary primes `aux` (normally [`aux_primes`](Self::aux_primes))
+    /// multiply to `P ≥ 2⁸·t·N·Q`. A tensor product of centered lifts has
+    /// coefficients of magnitude at most `N·Q²/2`, so this keeps its `t/Q`
+    /// rescale below `P/2⁹`, the precondition of the exact word-sized
+    /// rescale ([`athena_math::baseconv::TensorScaler`]).
+    pub fn aux_margin_holds(&self, aux: &[u64]) -> bool {
+        let p = aux.iter().fold(UBig::one(), |acc, &x| acc.mul_u64(x));
+        p >= self
+            .q_product()
+            .mul_u64(self.n as u64)
+            .mul_u64(self.t)
+            .shl(8)
     }
 
     /// `Q = ∏ q_i` as a big integer.
@@ -231,6 +247,20 @@ mod tests {
         // P > N * Q * t
         let bound = p.q_product().mul_u64(p.n as u64).mul_u64(p.t);
         assert!(total > bound);
+    }
+
+    #[test]
+    fn aux_margin_holds_for_every_named_preset() {
+        for p in [
+            BfvParams::test_small(),
+            BfvParams::test_medium(),
+            BfvParams::test_full_t(),
+            BfvParams::athena_production(),
+        ] {
+            assert!(p.aux_margin_holds(&p.aux_primes()), "N={} t={}", p.n, p.t);
+            // One aux prime alone never clears the margin.
+            assert!(!p.aux_margin_holds(&p.aux_primes()[..1]));
+        }
     }
 
     #[test]

@@ -463,6 +463,16 @@ impl IBig {
         }
     }
 
+    /// Euclidean remainder modulo a word-sized `m`, in `[0, m)`.
+    pub fn rem_euclid_u64(&self, m: u64) -> u64 {
+        let r = self.mag.rem_u64(m);
+        if self.neg && r != 0 {
+            m - r
+        } else {
+            r
+        }
+    }
+
     /// Lossy conversion to `i128` (low bits).
     pub fn to_i128_lossy(&self) -> i128 {
         let v = self.mag.to_u128_lossy() as i128;

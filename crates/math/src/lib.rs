@@ -2,7 +2,8 @@
 //!
 //! Number-theoretic foundations for the Athena reproduction: modular
 //! arithmetic, NTTs (negacyclic and cyclic/Fermat), a from-scratch big
-//! integer, RNS bases with exact and fast base conversion, lattice samplers,
+//! integer, RNS bases with exact and fast base conversion (including the
+//! word-sized exact kernels of [`baseconv`]), lattice samplers,
 //! and the baby-step/giant-step schedules used by functional bootstrapping.
 //!
 //! Everything above this crate (BFV, the Athena framework, the accelerator
@@ -25,6 +26,7 @@
 //! ```
 
 pub mod arena;
+pub mod baseconv;
 pub mod bigint;
 pub mod bsgs;
 pub mod modops;

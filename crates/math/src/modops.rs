@@ -208,6 +208,20 @@ impl Modulus {
             r
         }
     }
+
+    /// Shoup division: `(⌊a·w/q⌋, a·w mod q)` for `w_shoup = shoup(w)` —
+    /// the quotient [`mul_shoup`](Self::mul_shoup) computes and discards,
+    /// kept exact by the same final correction.
+    #[inline(always)]
+    pub fn mul_shoup_divrem(&self, a: u64, w: u64, w_shoup: u64) -> (u64, u64) {
+        let q = ((a as u128 * w_shoup as u128) >> 64) as u64;
+        let r = a.wrapping_mul(w).wrapping_sub(q.wrapping_mul(self.value));
+        if r >= self.value {
+            (q + 1, r - self.value)
+        } else {
+            (q, r)
+        }
+    }
 }
 
 impl std::fmt::Display for Modulus {
@@ -222,7 +236,7 @@ mod tests {
 
     #[test]
     fn barrett_matches_naive() {
-        let q = Modulus::new(0x3fff_ffff_0000_0001 % (1 << 61) | 1);
+        let q = Modulus::new((0x3fff_ffff_0000_0001 % (1 << 61)) | 1);
         for &x in &[
             0u128,
             1,
@@ -279,6 +293,22 @@ mod tests {
         let ws = q.shoup(w);
         for a in [0u64, 1, 42, q.value() - 1, q.value() / 2] {
             assert_eq!(q.mul_shoup(a, w, ws), q.mul(a, w));
+        }
+    }
+
+    #[test]
+    fn shoup_divrem_is_exact() {
+        let q = Modulus::new((1 << 59) - 55);
+        for w in [0u64, 1, 0x1234_5678_9abc % q.value(), q.value() - 1] {
+            let ws = q.shoup(w);
+            for a in [0u64, 1, 42, q.value() - 1, q.value() / 2, u64::MAX] {
+                let p = a as u128 * w as u128;
+                let want = (
+                    (p / q.value() as u128) as u64,
+                    (p % q.value() as u128) as u64,
+                );
+                assert_eq!(q.mul_shoup_divrem(a, w, ws), want, "a={a} w={w}");
+            }
         }
     }
 

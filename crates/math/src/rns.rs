@@ -1,8 +1,10 @@
 //! Residue number system (RNS) machinery: multi-prime bases, CRT
-//! reconstruction through [`UBig`], and the fast (approximate) base
-//! conversion that the Athena accelerator's FRU executes in hardware.
+//! reconstruction through [`UBig`], exact word-sized scaled rounding, and
+//! the fast (approximate) base conversion that the Athena accelerator's
+//! FRU executes in hardware.
 
 use crate::arena::LimbVec;
+use crate::baseconv::{round_guarded, MAX_LIMBS};
 use crate::bigint::{IBig, UBig};
 use crate::modops::Modulus;
 use crate::par;
@@ -29,6 +31,11 @@ pub struct RnsBasis {
     hats: Vec<UBig>,
     /// (Q_i)^{-1} mod q_i
     hat_invs: Vec<u64>,
+    /// Shoup constants of `hat_invs`.
+    hat_inv_shoups: Vec<u64>,
+    /// 1/q_i in floating point (for the rounding decisions of
+    /// [`RnsBasis::scale_round`]).
+    inv_f64: Vec<f64>,
     /// Q mod 2^64 convenience (lossy)
     bits: usize,
 }
@@ -38,9 +45,11 @@ impl RnsBasis {
     ///
     /// # Panics
     ///
-    /// Panics if primes are not distinct or not NTT-friendly for `n`.
+    /// Panics if primes are not distinct or not NTT-friendly for `n`, or
+    /// if there are more than [`MAX_LIMBS`] of them.
     pub fn new(primes: &[u64], n: usize) -> Self {
         assert!(!primes.is_empty(), "basis needs at least one prime");
+        assert!(primes.len() <= MAX_LIMBS, "at most {MAX_LIMBS} limb primes");
         let mut sorted = primes.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
@@ -60,12 +69,19 @@ impl RnsBasis {
                     .expect("hat invertible: primes coprime")
             })
             .collect();
+        let hat_inv_shoups = rings
+            .iter()
+            .zip(&hat_invs)
+            .map(|(r, &h)| r.modulus().shoup(h))
+            .collect();
         let bits = product.bits();
         Self {
             rings,
             product,
             hats,
             hat_invs,
+            hat_inv_shoups,
+            inv_f64: primes.iter().map(|&q| 1.0 / q as f64).collect(),
             bits,
         }
     }
@@ -438,35 +454,86 @@ impl RnsBasis {
     }
 
     /// **Exact** scaled rounding `round(num · x / Q) mod target` applied per
-    /// coefficient, where `x` is the centered CRT value. This is BFV modulus
-    /// switching / decryption scaling, done with big integers (the reference
-    /// path that fast RNS tricks are tested against).
+    /// coefficient, where `x` is the centered CRT value — BFV modulus
+    /// switching and decryption scaling.
+    ///
+    /// Word-sized (Halevi–Polyakov–Shoup): with `y_i = [x_i·(Q/q_i)^{-1}]_{q_i}`
+    /// and `v = ⌊Σ y_i/q_i + ½⌋`, the centered value is
+    /// `Σ y_i·(Q/q_i) − v·Q`, so
+    /// `num·x/Q = Σ_i ⌊y_i·num/q_i⌋ − v·num + Σ_i [y_i·num]_{q_i}/q_i`.
+    /// The two `f64` sums pick `v` and the final rounding; a coefficient
+    /// where either lands within `1e-9` of `½` is recomputed with big
+    /// integers, so the output is bit-identical to
+    /// [`scale_round_reference`](Self::scale_round_reference).
     ///
     /// # Panics
     ///
     /// Panics if `p` is not in coefficient domain.
     pub fn scale_round(&self, p: &RnsPoly, num: u64, target: u64) -> Vec<u64> {
-        assert_eq!(p.domain(), Domain::Coeff);
-        let tm = Modulus::new(target);
-        let half = self.product.shr(1);
-        let n = self.n();
-        let mut out = Vec::with_capacity(n);
-        let mut residues = vec![0u64; self.len()];
-        for j in 0..n {
-            for (i, limb) in p.limbs.iter().enumerate() {
-                residues[i] = limb.values()[j];
-            }
-            let x = self.crt_reconstruct(&residues);
-            // centered: x or x - Q
-            if x > half {
-                let mag = self.product.sub(&x).mul_u64(num).div_round(&self.product);
-                out.push(tm.neg(mag.rem_u64(target)));
-            } else {
-                let mag = x.mul_u64(num).div_round(&self.product);
-                out.push(mag.rem_u64(target));
-            }
+        // ⌊num/q_i⌋, num mod q_i and its Shoup constant, per limb.
+        let mut split = [(0u64, 0u64, 0u64); MAX_LIMBS];
+        for (s, r) in split.iter_mut().zip(&self.rings) {
+            let m = r.modulus();
+            let rem = num % m.value();
+            *s = (num / m.value(), rem, m.shoup(rem));
         }
-        out
+        let tm = Modulus::new(target);
+        self.scale_round_with(p, num, target, |x| {
+            let (mut quo, mut s, mut f) = (0u128, 0.0, 0.0);
+            for (i, &xi) in x.iter().enumerate() {
+                let m = self.rings[i].modulus();
+                let y = m.mul_shoup(xi, self.hat_invs[i], self.hat_inv_shoups[i]);
+                let (num_quo, num_rem, num_rem_shoup) = split[i];
+                let (yq, yr) = m.mul_shoup_divrem(y, num_rem, num_rem_shoup);
+                quo += y as u128 * num_quo as u128 + yq as u128;
+                s += y as f64 * self.inv_f64[i];
+                f += yr as f64 * self.inv_f64[i];
+            }
+            let v = round_guarded(s)?;
+            let r = round_guarded(f)?;
+            Some(tm.sub(
+                tm.reduce_u128(quo + r as u128),
+                tm.reduce_u128(v as u128 * num as u128),
+            ))
+        })
+    }
+
+    /// Big-integer reference for [`scale_round`](Self::scale_round): CRT
+    /// reconstruction and long division for every coefficient. Kept as the
+    /// test oracle and benchmark baseline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not in coefficient domain.
+    pub fn scale_round_reference(&self, p: &RnsPoly, num: u64, target: u64) -> Vec<u64> {
+        self.scale_round_with(p, num, target, |_| None)
+    }
+
+    /// Common loop of the scaled-rounding paths: `fast` maps one
+    /// coefficient's residues to its result, or declines with `None`, in
+    /// which case the coefficient is computed with big integers.
+    fn scale_round_with(
+        &self,
+        p: &RnsPoly,
+        num: u64,
+        target: u64,
+        fast: impl Fn(&[u64]) -> Option<u64>,
+    ) -> Vec<u64> {
+        assert_eq!(p.domain(), Domain::Coeff);
+        let k = self.len();
+        let mut x = [0u64; MAX_LIMBS];
+        (0..self.n())
+            .map(|j| {
+                for (xi, limb) in x.iter_mut().zip(&p.limbs) {
+                    *xi = limb.values()[j];
+                }
+                fast(&x[..k]).unwrap_or_else(|| {
+                    let c = self.crt_reconstruct_centered(&x[..k]);
+                    IBig::new(c.neg, c.mag.mul_u64(num).div_round(&self.product))
+                        .rem_euclid_u64(target)
+                })
+            })
+            .collect()
     }
 
     /// Fast (approximate) base conversion of one coefficient vector of
@@ -565,7 +632,7 @@ mod tests {
         // verify one coefficient against schoolbook over centered integers
         let av: Vec<i64> = (0..16).map(|i| i as i64 + 1).collect();
         let cv: Vec<i64> = (0..16).map(|i| 2 * i as i64 - 3).collect();
-        let mut want = vec![0i64; 16];
+        let mut want = [0i64; 16];
         for i in 0..16 {
             for j in 0..16 {
                 let p = av[i] * cv[j];
