@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use athena_bench::microbench::{run_named, BenchOpts};
 use athena_core::encoding::ConvEncoder;
-use athena_core::pipeline::{AthenaEngine, PipelineStats};
+use athena_core::pipeline::AthenaEngine;
 use athena_fhe::bfv::{BfvEvaluator, RelinKey, SecretKey};
 use athena_fhe::extract::{mod_switch_rlwe, sample_extract_all};
 use athena_fhe::fbs::{fbs_apply, Lut};
@@ -55,8 +55,7 @@ fn bench_framework_steps(opts: &BenchOpts) {
     let ct = ctx_engine.encrypt_at(&enc.encode_input(&img), &positions, &secrets, &mut sampler);
     let kcoeffs = enc.encode_kernel(&ker);
     run_named(opts, "framework/conv_pmult", || {
-        let mut st = PipelineStats::default();
-        ctx_engine.linear(std::hint::black_box(&ct), &kcoeffs, &[], &mut st)
+        ctx_engine.linear(std::hint::black_box(&ct), &kcoeffs, &[])
     });
 
     // Step 2: modulus switch.
@@ -73,26 +72,22 @@ fn bench_framework_steps(opts: &BenchOpts) {
 
     // Steps 2+3 fused as the engine runs them (incl. dimension switch).
     run_named(opts, "framework/extract_pipeline", || {
-        let mut st = PipelineStats::default();
-        ctx_engine.extract_lwes(&ct, &positions[..32], &keys, &mut st)
+        ctx_engine.extract_lwes(&ct, &positions[..32], &keys)
     });
 
     // Step 4: packing 32 LWEs.
-    let mut st = PipelineStats::default();
     let lwes: Vec<_> = ctx_engine
-        .extract_lwes(&ct, &positions[..32], &keys, &mut st)
+        .extract_lwes(&ct, &positions[..32], &keys)
         .into_iter()
         .map(Some)
         .collect();
     run_named(opts, "framework/pack_32_lwes", || {
-        let mut st = PipelineStats::default();
-        ctx_engine.pack(std::hint::black_box(&lwes), &keys, &mut st)
+        ctx_engine.pack(std::hint::black_box(&lwes), &keys)
     });
 
     // Step 5: S2C.
     run_named(opts, "framework/s2c", || {
-        let mut st = PipelineStats::default();
-        ctx_engine.s2c(std::hint::black_box(&ct), &keys, &mut st)
+        ctx_engine.s2c(std::hint::black_box(&ct), &keys)
     });
 }
 

@@ -5,14 +5,14 @@
 //! Run once before the Eval-resident refactor to record the baseline
 //! (`reports/domain_ntt_baseline.txt`), and after it to produce
 //! `reports/domain_ntt.txt` with before/after deltas; counting uses the
-//! `op-stats` feature of `athena-math` (relaxed atomics, process-global, so
+//! `athena_math::stats` counters (relaxed atomics, process-global, so
 //! the bench forces a single worker while counting).
 
 use std::time::Duration;
 
 use athena_bench::microbench::{fmt_duration, run, BenchOpts};
 use athena_bench::render_table;
-use athena_core::pipeline::{AthenaEngine, PackingMethod, PipelineStats};
+use athena_core::pipeline::{AthenaEngine, PackingMethod};
 use athena_fhe::bfv::BfvEvaluator;
 use athena_fhe::fbs::{fbs_apply, Lut};
 use athena_fhe::lwe::LweCiphertext;
@@ -116,11 +116,10 @@ fn main() {
         v
     };
     rows.push(profile(&opts, "op:five_step_layer", || {
-        let mut stats = PipelineStats::default();
-        let conv = engine.linear(&ct, &kernel, &[], &mut stats);
-        let lw = engine.extract_lwes(&conv, &positions, &keys, &mut stats);
+        let conv = engine.linear(&ct, &kernel, &[]);
+        let lw = engine.extract_lwes(&conv, &positions, &keys);
         let opt: Vec<Option<LweCiphertext>> = lw.into_iter().map(Some).collect();
-        std::hint::black_box(engine.pack_fbs_s2c(&opt, &lut, &keys, &mut stats));
+        std::hint::black_box(engine.pack_fbs_s2c(&opt, &lut, &keys));
     }));
 
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../reports");

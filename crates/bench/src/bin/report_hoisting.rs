@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use athena_bench::microbench::{fmt_duration, run, BenchOpts};
 use athena_bench::render_table;
-use athena_core::pipeline::{AthenaEngine, PackingMethod, PipelineStats};
+use athena_core::pipeline::{AthenaEngine, PackingMethod};
 use athena_fhe::bfv::BfvEvaluator;
 use athena_fhe::fbs::{fbs_apply, Lut};
 use athena_fhe::lwe::LweCiphertext;
@@ -132,11 +132,10 @@ fn main() {
         v
     };
     rows.push(profile(&opts, "op:five_step_layer", || {
-        let mut stats = PipelineStats::default();
-        let conv = engine.linear(&ct, &kernel, &[], &mut stats);
-        let lw = engine.extract_lwes(&conv, &positions, &keys, &mut stats);
+        let conv = engine.linear(&ct, &kernel, &[]);
+        let lw = engine.extract_lwes(&conv, &positions, &keys);
         let opt: Vec<Option<LweCiphertext>> = lw.into_iter().map(Some).collect();
-        std::hint::black_box(engine.pack_fbs_s2c(&opt, &lut, &keys, &mut stats));
+        std::hint::black_box(engine.pack_fbs_s2c(&opt, &lut, &keys));
     }));
 
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../reports");

@@ -10,7 +10,7 @@
 
 use athena_bench::render_table;
 use athena_core::pipeline::{AthenaEngine, PackingMethod};
-use athena_core::plan::{self, NoiseProbe};
+use athena_core::plan::{self, RunPolicy};
 use athena_fhe::noise::{athena_steps, derive_steps, NoiseModel, StepProfile};
 use athena_fhe::params::BfvParams;
 use athena_math::sampler::Sampler;
@@ -146,14 +146,16 @@ fn probed_section(out: &mut String, name: &str, model: &QModel, in_shape: &[usiz
         let compiled = plan::compile(&engine, model, in_shape);
         let mut sampler = Sampler::from_seed(seed);
         let (secrets, keys) = engine.keygen_for_plan(&compiled, &mut sampler);
-        let run = plan::execute_probed(
+        let run = plan::execute_resilient(
             &engine,
             &secrets,
             &keys,
             &compiled,
             &input,
             &mut sampler,
-            NoiseProbe::On,
+            &RunPolicy::default().with_probe(),
+            1,
+            None,
         )
         .expect("test_small has ample budget for the report models");
 

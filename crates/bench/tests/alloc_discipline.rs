@@ -118,14 +118,9 @@ fn warm_run_allocates_less_than_the_cold_run_that_filled_the_pool() {
             "warm run must allocate strictly less: warm {warm} vs cold {cold}"
         );
     });
-    #[cfg(feature = "alloc-stats")]
-    {
-        assert!(arena_counts.takes > 0, "the run must use the arena");
-        assert_eq!(
-            arena_counts.fresh, 0,
-            "steady state: every limb checkout must hit the pool"
-        );
-    }
-    #[cfg(not(feature = "alloc-stats"))]
-    let _ = arena_counts;
+    assert!(arena_counts.takes > 0, "the run must use the arena");
+    assert_eq!(
+        arena_counts.fresh, 0,
+        "steady state: every limb checkout must hit the pool"
+    );
 }

@@ -25,16 +25,17 @@ use athena_math::sampler::Sampler;
 use athena_nn::qmodel::QModel;
 use athena_nn::tensor::ITensor;
 
-use crate::pipeline::{AthenaEngine, AthenaEvalKeys, AthenaSecrets, PipelineStats};
-use crate::plan;
+use crate::pipeline::{AthenaEngine, AthenaEvalKeys, AthenaSecrets};
+use crate::plan::{self, StepReport};
 
 /// Result of an encrypted inference.
 #[derive(Debug)]
 pub struct EncryptedInference {
     /// Decrypted float logits.
     pub logits: Vec<f64>,
-    /// Operation statistics.
-    pub stats: PipelineStats,
+    /// Per-step records of the run, in execution order: label, analytic
+    /// and measured op counts, noise charge ([`StepReport`]).
+    pub steps: Vec<StepReport>,
 }
 
 impl EncryptedInference {
@@ -63,39 +64,8 @@ pub fn run_encrypted(
     let run = plan::execute(engine, secrets, keys, &compiled, input, sampler);
     EncryptedInference {
         logits: run.logits,
-        stats: run.stats,
+        steps: run.steps,
     }
-}
-
-/// Runs a quantized model under FHE with the noise probe on: the returned
-/// [`plan::PlanRun`] carries per-step analytic noise charges, measured
-/// budgets, and consumption, and the inference fails with a typed
-/// [`plan::NoiseExhausted`] — instead of returning garbage logits — the
-/// moment any step's measured budget reaches zero. Test/debug only (the
-/// probe reads the secret key); the logits are bit-identical to
-/// [`run_encrypted`].
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_encrypted`].
-pub fn run_encrypted_probed(
-    engine: &AthenaEngine,
-    secrets: &AthenaSecrets,
-    keys: &AthenaEvalKeys,
-    model: &QModel,
-    input: &ITensor,
-    sampler: &mut Sampler,
-) -> Result<plan::PlanRun, plan::NoiseExhausted> {
-    let compiled = plan::compile(engine, model, input.shape());
-    plan::execute_probed(
-        engine,
-        secrets,
-        keys,
-        &compiled,
-        input,
-        sampler,
-        plan::NoiseProbe::On,
-    )
 }
 
 #[cfg(test)]
@@ -103,6 +73,10 @@ mod tests {
     use super::*;
     use athena_fhe::params::BfvParams;
     use athena_nn::qmodel::{Activation, QLinear, QNode, QOp, QuantConfig};
+
+    fn label_count(enc: &EncryptedInference, label: &str) -> usize {
+        enc.steps.iter().filter(|s| s.label == label).count()
+    }
 
     fn tiny_model() -> QModel {
         // conv 1->2 ch, 3x3 on 5x5 input (valid 3x3), then FC 18 -> 3.
@@ -165,10 +139,17 @@ mod tests {
                 "logit {i}: encrypted {g} vs reference {w}"
             );
         }
-        // The loop ran once per non-final layer.
-        assert_eq!(enc.stats.fbs_calls, 1);
-        assert_eq!(enc.stats.s2c_calls, 1);
-        assert!(enc.stats.pmult >= 2);
+        // The loop ran once per non-final layer; each linear group (and
+        // any FBS mask) is one PMult outside packing and S2C.
+        assert_eq!(label_count(&enc, "fbs"), 1);
+        assert_eq!(label_count(&enc, "s2c"), 1);
+        let pmult: u64 = enc
+            .steps
+            .iter()
+            .filter(|s| matches!(s.label, "linear" | "fbs"))
+            .map(|s| s.analytic.pmult)
+            .sum();
+        assert!(pmult >= 2, "pmult = {pmult}");
     }
 
     #[test]
@@ -227,13 +208,21 @@ mod tests {
         for (i, (&g, &w)) in enc.logits.iter().zip(&reference).enumerate() {
             assert!((g - w).abs() <= 20.0, "logit {i}: {g} vs {w}");
         }
-        // MaxPool cost: k²−1 = 3 max rounds → 3 extra FBS calls + 1 conv
-        // remap + 1 identity bridge after pooling.
-        assert!(
-            enc.stats.fbs_calls >= 4,
-            "fbs calls = {}",
-            enc.stats.fbs_calls
-        );
+        // MaxPool cost: k²−1 = 3 max rounds → 3 extra FBS calls inside
+        // the max_reduce step + 1 conv remap + 1 identity bridge after
+        // pooling, each FBS step costing exactly its LUT's schedule.
+        assert_eq!(label_count(&enc, "fbs"), 2);
+        let relu = athena_fhe::fbs::expected_stats(&athena_fhe::fbs::Lut::from_signed_fn(
+            engine.context().t(),
+            |x| x.max(0),
+        ));
+        let max_reduce = enc
+            .steps
+            .iter()
+            .find(|s| s.label == "max_reduce")
+            .expect("max_reduce step");
+        assert_eq!(max_reduce.analytic.cmult, 3 * relu.cmult);
+        assert_eq!(max_reduce.analytic.smult, 3 * relu.smult);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! ## Example: one loop iteration under real FHE
 //!
 //! ```no_run
-//! use athena_core::pipeline::{AthenaEngine, PipelineStats};
+//! use athena_core::pipeline::AthenaEngine;
 //! use athena_fhe::fbs::Lut;
 //! use athena_fhe::params::BfvParams;
 //! use athena_math::sampler::Sampler;
@@ -38,14 +38,13 @@
 //! let engine = AthenaEngine::new(BfvParams::test_small());
 //! let mut sampler = Sampler::from_seed(1);
 //! let (secrets, keys) = engine.keygen(&mut sampler);
-//! let mut stats = PipelineStats::default();
 //! let n = engine.context().n();
 //! let positions: Vec<usize> = (0..n).collect();
 //! let ct = engine.encrypt_at(&vec![5; n], &positions, &secrets, &mut sampler);
-//! let lwes = engine.extract_lwes(&ct, &positions, &keys, &mut stats);
+//! let lwes = engine.extract_lwes(&ct, &positions, &keys);
 //! let relu = Lut::from_signed_fn(engine.context().t(), |x| x.max(0));
 //! let opt: Vec<_> = lwes.into_iter().map(Some).collect();
-//! let refreshed = engine.pack_fbs_s2c(&opt, &relu, &keys, &mut stats);
+//! let refreshed = engine.pack_fbs_s2c(&opt, &relu, &keys);
 //! let out = engine.decrypt_coeffs(&refreshed, &positions, &secrets);
 //! assert!(out.iter().all(|&v| (v - 5).abs() <= 4));
 //! ```

@@ -20,7 +20,7 @@
 use athena_fhe::bfv::{BfvCiphertext, BfvContext, BfvEvaluator, GaloisKeys, RelinKey, SecretKey};
 use athena_fhe::encoder::encode_coeff;
 use athena_fhe::extract::{mod_switch_rlwe, rlwe_secret_as_lwe_mod, sample_extract_one};
-use athena_fhe::fbs::{fbs_apply, fbs_apply_batch, FbsStats, Lut};
+use athena_fhe::fbs::{fbs_apply, Lut};
 use athena_fhe::linear::SlotToCoeff;
 use athena_fhe::lwe::{lwe_mod_switch, LweCiphertext, LweKeySwitchKey, LweSecret};
 use athena_fhe::pack::{BsgsPackingKey, ColumnPackingKey};
@@ -96,23 +96,21 @@ pub struct AthenaEngine {
     noise_margin: Option<u32>,
 }
 
-/// Aggregate operation statistics of an encrypted run.
+/// Field-less placeholder taken only by [`AthenaEngine::sample_extract`],
+/// kept so the benchmark's call
+/// `engine.sample_extract(&small, &[0], &mut PipelineStats::default())`
+/// still compiles. Op counts come from the per-step
+/// [`StepReport`](crate::plan::StepReport)s and
+/// `athena_math::stats::op_stats`.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PipelineStats {
-    /// PMult count.
-    pub pmult: usize,
-    /// HAdd count (ciphertext level).
-    pub hadd: usize,
-    /// Sample extractions.
-    pub extracts: usize,
-    /// Packing invocations.
-    pub packs: usize,
-    /// FBS invocations and their inner op counts.
-    pub fbs_calls: usize,
-    /// Accumulated FBS inner stats.
-    pub fbs: FbsStats,
-    /// S2C invocations.
-    pub s2c_calls: usize,
+pub struct PipelineStats;
+
+/// Whether an FBS over `slots` must zero the non-valid slots afterwards:
+/// the LUT moves 0 (so an empty slot would read `LUT(0)`) and some of the
+/// ring's `n` slots is empty. The compiler, the engine and both value-free
+/// backends apply this one rule.
+pub(crate) fn fbs_needs_mask<T>(lut: &Lut, slots: &[Option<T>], n: usize) -> bool {
+    lut.get(0) != 0 && (slots.len() < n || slots.iter().any(Option::is_none))
 }
 
 impl AthenaEngine {
@@ -245,13 +243,11 @@ impl AthenaEngine {
         ct: &BfvCiphertext,
         kernel_coeffs: &[i64],
         bias: &[(usize, i64)],
-        stats: &mut PipelineStats,
     ) -> BfvCiphertext {
         let ev = BfvEvaluator::new(&self.ctx);
         let n = self.ctx.n();
         let k = encode_coeff(kernel_coeffs, self.ctx.t(), n);
         let mut out = ev.mul_plain(ct, &k);
-        stats.pmult += 1;
         if !bias.is_empty() {
             let mut b = vec![0i64; n];
             for &(p, v) in bias {
@@ -263,13 +259,7 @@ impl AthenaEngine {
     }
 
     /// Homomorphic addition of two coefficient-encoded ciphertexts.
-    pub fn add(
-        &self,
-        a: &BfvCiphertext,
-        b: &BfvCiphertext,
-        stats: &mut PipelineStats,
-    ) -> BfvCiphertext {
-        stats.hadd += 1;
+    pub fn add(&self, a: &BfvCiphertext, b: &BfvCiphertext) -> BfvCiphertext {
         BfvEvaluator::new(&self.ctx).add(a, b)
     }
 
@@ -286,9 +276,8 @@ impl AthenaEngine {
         ct: &BfvCiphertext,
         positions: &[usize],
         keys: &AthenaEvalKeys,
-        stats: &mut PipelineStats,
     ) -> Vec<LweCiphertext> {
-        self.extract_lwes_mid(ct, positions, keys, stats)
+        self.extract_lwes_mid(ct, positions, keys)
             .iter()
             .map(|c| lwe_mod_switch(c, self.ctx.t()))
             .collect()
@@ -306,10 +295,8 @@ impl AthenaEngine {
         ct: &BfvCiphertext,
         positions: &[usize],
         keys: &AthenaEvalKeys,
-        stats: &mut PipelineStats,
     ) -> Vec<LweCiphertext> {
         let small = mod_switch_rlwe(&self.ctx, ct, self.q_mid);
-        stats.extracts += positions.len();
         // Extraction + dimension switch is independent per position — the
         // per-LWE loop the paper fans out across FRU lanes; run it on the
         // parallel layer (results stay in position order).
@@ -383,9 +370,8 @@ impl AthenaEngine {
         &self,
         small: &athena_fhe::extract::SmallRlwe,
         positions: &[usize],
-        stats: &mut PipelineStats,
+        _stats: &mut PipelineStats,
     ) -> Vec<LweCiphertext> {
-        stats.extracts += positions.len();
         let threads = par::threads_for(positions.len(), self.ctx.n());
         par::parallel_map_with(threads, positions, |&p| sample_extract_one(small, p))
     }
@@ -432,55 +418,14 @@ impl AthenaEngine {
         lwes: &[Option<LweCiphertext>],
         lut: &Lut,
         keys: &AthenaEvalKeys,
-        stats: &mut PipelineStats,
     ) -> BfvCiphertext {
-        let packed = self.pack(lwes, keys, stats);
-        let bootstrapped = self.fbs(&packed, lut, lwes, keys, stats);
-        self.s2c(&bootstrapped, keys, stats)
-    }
-
-    /// Steps ④ + ⑤ for several independent slot groups sharing one LUT:
-    /// the LUT is interpolated once and the per-group BSGS evaluations run
-    /// through the parallel batch path ([`fbs_apply_batch`]). Group `i` of
-    /// the output corresponds to `groups[i]`, and results are bit-identical
-    /// to calling [`AthenaEngine::pack_fbs_s2c`] per group.
-    pub fn pack_fbs_s2c_batch(
-        &self,
-        groups: &[Vec<Option<LweCiphertext>>],
-        lut: &Lut,
-        keys: &AthenaEvalKeys,
-        stats: &mut PipelineStats,
-    ) -> Vec<BfvCiphertext> {
-        let packed: Vec<BfvCiphertext> = groups.iter().map(|g| self.pack(g, keys, stats)).collect();
-        let boot = fbs_apply_batch(&self.ctx, &packed, lut, &keys.rlk);
-        let ev = BfvEvaluator::new(&self.ctx);
-        let mut outs = Vec::with_capacity(groups.len());
-        for ((mut out, fstats), g) in boot.into_iter().zip(groups) {
-            stats.fbs_calls += 1;
-            stats.fbs.cmult += fstats.cmult;
-            stats.fbs.smult += fstats.smult;
-            stats.fbs.hadd += fstats.hadd;
-            let needs_mask =
-                lut.get(0) != 0 && (g.len() < self.ctx.n() || g.iter().any(|o| o.is_none()));
-            if needs_mask {
-                let mask: Vec<u64> = (0..self.ctx.n())
-                    .map(|i| u64::from(matches!(g.get(i), Some(Some(_)))))
-                    .collect();
-                out = ev.mul_plain(&out, &self.ctx.encoder().encode(&mask));
-                stats.pmult += 1;
-            }
-            outs.push(self.s2c(&out, keys, stats));
-        }
-        outs
+        let packed = self.pack(lwes, keys);
+        let bootstrapped = self.fbs(&packed, lut, lwes, keys);
+        self.s2c(&bootstrapped, keys)
     }
 
     /// Step ④ alone.
-    pub fn pack(
-        &self,
-        lwes: &[Option<LweCiphertext>],
-        keys: &AthenaEvalKeys,
-        stats: &mut PipelineStats,
-    ) -> BfvCiphertext {
+    pub fn pack(&self, lwes: &[Option<LweCiphertext>], keys: &AthenaEvalKeys) -> BfvCiphertext {
         let n = self.ctx.n();
         assert!(lwes.len() <= n, "more values than slots");
         let dim = self.ctx.params().lwe_n;
@@ -492,7 +437,6 @@ impl AthenaEngine {
                 None => LweCiphertext::trivial(0, dim, t),
             })
             .collect();
-        stats.packs += 1;
         match (self.packing, &keys.pack_bsgs) {
             (PackingMethod::Bsgs, Some(k)) => k.pack(&self.ctx, &filled, &keys.gk),
             _ => keys.pack.pack(&self.ctx, &filled),
@@ -507,34 +451,19 @@ impl AthenaEngine {
         lut: &Lut,
         lwes: &[Option<LweCiphertext>],
         keys: &AthenaEvalKeys,
-        stats: &mut PipelineStats,
     ) -> BfvCiphertext {
-        let ev = BfvEvaluator::new(&self.ctx);
-        let (mut out, fstats) = fbs_apply(&self.ctx, packed, lut, &keys.rlk);
-        stats.fbs_calls += 1;
-        stats.fbs.cmult += fstats.cmult;
-        stats.fbs.smult += fstats.smult;
-        stats.fbs.hadd += fstats.hadd;
-        let needs_mask =
-            lut.get(0) != 0 && (lwes.len() < self.ctx.n() || lwes.iter().any(|o| o.is_none()));
-        if needs_mask {
-            let mask: Vec<u64> = (0..self.ctx.n())
-                .map(|i| u64::from(matches!(lwes.get(i), Some(Some(_)))))
-                .collect();
-            out = ev.mul_plain(&out, &self.ctx.encoder().encode(&mask));
-            stats.pmult += 1;
+        let out = fbs_apply(&self.ctx, packed, lut, &keys.rlk);
+        if !fbs_needs_mask(lut, lwes, self.ctx.n()) {
+            return out;
         }
-        out
+        let mask: Vec<u64> = (0..self.ctx.n())
+            .map(|i| u64::from(matches!(lwes.get(i), Some(Some(_)))))
+            .collect();
+        BfvEvaluator::new(&self.ctx).mul_plain(&out, &self.ctx.encoder().encode(&mask))
     }
 
     /// The S2C bridge alone.
-    pub fn s2c(
-        &self,
-        ct: &BfvCiphertext,
-        keys: &AthenaEvalKeys,
-        stats: &mut PipelineStats,
-    ) -> BfvCiphertext {
-        stats.s2c_calls += 1;
+    pub fn s2c(&self, ct: &BfvCiphertext, keys: &AthenaEvalKeys) -> BfvCiphertext {
         self.s2c.apply(&self.ctx, ct, &keys.gk)
     }
 
@@ -596,7 +525,6 @@ impl AthenaEngine {
         a: &[LweCiphertext],
         b: &[LweCiphertext],
         keys: &AthenaEvalKeys,
-        stats: &mut PipelineStats,
     ) -> Vec<LweCiphertext> {
         assert_eq!(a.len(), b.len());
         let t = self.ctx.t();
@@ -608,11 +536,11 @@ impl AthenaEngine {
             .collect();
         // ReLU(d) via one FBS pass
         let relu_lut = Lut::from_signed_fn(t, |x| x.max(0));
-        let packed = self.pack(&diffs, keys, stats);
-        let relu_ct = self.fbs(&packed, &relu_lut, &diffs, keys, stats);
-        let relu_coeff = self.s2c(&relu_ct, keys, stats);
+        let packed = self.pack(&diffs, keys);
+        let relu_ct = self.fbs(&packed, &relu_lut, &diffs, keys);
+        let relu_coeff = self.s2c(&relu_ct, keys);
         let positions: Vec<usize> = (0..a.len()).collect();
-        let relu_lwes = self.extract_lwes(&relu_coeff, &positions, keys, stats);
+        let relu_lwes = self.extract_lwes(&relu_coeff, &positions, keys);
         b.iter()
             .zip(&relu_lwes)
             .map(|(y, r)| self.lwe_add_scaled(y, r, 1))
@@ -638,7 +566,6 @@ impl AthenaEngine {
         exp_scale: f64,
         inv_num: f64,
         keys: &AthenaEvalKeys,
-        stats: &mut PipelineStats,
     ) -> Vec<LweCiphertext> {
         let t = self.ctx.t();
         let n = logits.len();
@@ -648,11 +575,11 @@ impl AthenaEngine {
             ((x as f64 / in_div).exp() * exp_scale).round() as i64
         });
         let slots: Vec<Option<LweCiphertext>> = logits.iter().cloned().map(Some).collect();
-        let packed = self.pack(&slots, keys, stats);
-        let exp_ct = self.fbs(&packed, &exp_lut, &slots, keys, stats);
-        let exp_coeff = self.s2c(&exp_ct, keys, stats);
+        let packed = self.pack(&slots, keys);
+        let exp_ct = self.fbs(&packed, &exp_lut, &slots, keys);
+        let exp_coeff = self.s2c(&exp_ct, keys);
         let positions: Vec<usize> = (0..n).collect();
-        let exp_lwes = self.extract_lwes(&exp_coeff, &positions, keys, stats);
+        let exp_lwes = self.extract_lwes(&exp_coeff, &positions, keys);
         // Step 2: denominator + inverse LUT.
         let mut denom = exp_lwes[0].clone();
         for e in &exp_lwes[1..] {
@@ -666,25 +593,22 @@ impl AthenaEngine {
             }
         });
         let denom_slots: Vec<Option<LweCiphertext>> = (0..n).map(|_| Some(denom.clone())).collect();
-        let packed_d = self.pack(&denom_slots, keys, stats);
-        let inv_ct = self.fbs(&packed_d, &inv_lut, &denom_slots, keys, stats);
+        let packed_d = self.pack(&denom_slots, keys);
+        let inv_ct = self.fbs(&packed_d, &inv_lut, &denom_slots, keys);
         // Step 3: CMult numerator × inverse (both slot-encoded).
         let num_ct = self.fbs(
             &self.pack(
                 &exp_lwes.iter().cloned().map(Some).collect::<Vec<_>>(),
                 keys,
-                stats,
             ),
             &Lut::from_signed_fn(t, |x| x),
             &slots,
             keys,
-            stats,
         );
         let ev = BfvEvaluator::new(&self.ctx);
         let prod = ev.mul(&num_ct, &inv_ct, &keys.rlk);
-        stats.fbs.cmult += 1;
-        let prod_coeff = self.s2c(&prod, keys, stats);
-        self.extract_lwes(&prod_coeff, &positions, keys, stats)
+        let prod_coeff = self.s2c(&prod, keys);
+        self.extract_lwes(&prod_coeff, &positions, keys)
     }
 }
 
@@ -734,11 +658,10 @@ mod tests {
         let kt = athena_nn::tensor::ITensor::from_vec(&[1, 1, 2, 2], kernel.clone());
         let expected_acc = crate::encoding::direct_conv_valid(&m, &kt);
 
-        let mut stats = PipelineStats::default();
         let coeffs = enc.encode_input(&m);
         let positions: Vec<usize> = (0..eng.context().n()).collect();
         let ct = eng.encrypt_at(&coeffs, &positions, &f.secrets, &mut f.sampler);
-        let conv = eng.linear(&ct, &enc.encode_kernel(&kt), &[], &mut stats);
+        let conv = eng.linear(&ct, &enc.encode_kernel(&kt), &[]);
 
         // verify accumulators by decryption
         let out_positions: Vec<usize> = (0..3)
@@ -749,7 +672,7 @@ mod tests {
         assert_eq!(accs, expected_acc.data());
 
         // steps 2-3
-        let lwes = eng.extract_lwes(&conv, &out_positions, &f.keys, &mut stats);
+        let lwes = eng.extract_lwes(&conv, &out_positions, &f.keys);
         let dec = eng.decrypt_lwes(&lwes, &f.secrets);
         for (i, (&d, &want)) in dec.iter().zip(expected_acc.data()).enumerate() {
             assert!((d - want).abs() <= 10, "lwe {i}: {d} vs {want}");
@@ -758,7 +681,7 @@ mod tests {
         // steps 4-5: ReLU with remap scale 4
         let lut = Lut::from_signed_fn(eng.context().t(), |x| if x > 0 { (x + 2) / 4 } else { 0 });
         let opt: Vec<Option<LweCiphertext>> = lwes.into_iter().map(Some).collect();
-        let result = eng.pack_fbs_s2c(&opt, &lut, &f.keys, &mut stats);
+        let result = eng.pack_fbs_s2c(&opt, &lut, &f.keys);
         let got = eng.decrypt_coeffs(&result, &(0..9).collect::<Vec<_>>(), &f.secrets);
         for (i, (&g, &acc)) in got.iter().zip(expected_acc.data()).enumerate() {
             let want = if acc > 0 { (acc + 2) / 4 } else { 0 };
@@ -767,10 +690,6 @@ mod tests {
                 "slot {i}: got {g}, want {want} (acc {acc})"
             );
         }
-        assert_eq!(stats.fbs_calls, 1);
-        assert_eq!(stats.packs, 1);
-        assert_eq!(stats.s2c_calls, 1);
-        assert!(stats.fbs.cmult > 0 && stats.fbs.smult > 0);
     }
 
     #[test]
@@ -783,14 +702,13 @@ mod tests {
         assert!(keys.pack_bsgs.is_some());
         let n = engine.context().n();
         let t = engine.context().t();
-        let mut stats = PipelineStats::default();
         let values: Vec<i64> = (0..n as i64).map(|i| (i % 33) - 16).collect();
         let positions: Vec<usize> = (0..n).collect();
         let ct = engine.encrypt_at(&values, &positions, &secrets, &mut sampler);
-        let lwes = engine.extract_lwes(&ct, &positions, &keys, &mut stats);
+        let lwes = engine.extract_lwes(&ct, &positions, &keys);
         let lut = Lut::from_signed_fn(t, |x| x.max(0));
         let opt: Vec<_> = lwes.into_iter().map(Some).collect();
-        let out = engine.pack_fbs_s2c(&opt, &lut, &keys, &mut stats);
+        let out = engine.pack_fbs_s2c(&opt, &lut, &keys);
         let got = engine.decrypt_coeffs(&out, &positions, &secrets);
         let close = got
             .iter()
@@ -798,62 +716,6 @@ mod tests {
             .filter(|(&g, &v)| (g - v.max(0)).abs() <= 8)
             .count();
         assert!(close as f64 > 0.9 * n as f64, "{close}/{n} close");
-    }
-
-    #[test]
-    fn batched_loop_matches_per_group_calls() {
-        // pack_fbs_s2c_batch must agree with per-group pack_fbs_s2c, for any
-        // worker count (the shared-interpolation batch path is bit-exact).
-        let mut f = setup();
-        let t = f.engine.context().t();
-        let tm = Modulus::new(t);
-        let groups: Vec<Vec<Option<LweCiphertext>>> = (0..2i64)
-            .map(|g| {
-                (0..8i64)
-                    .map(|i| {
-                        Some(LweCiphertext::encrypt(
-                            tm.from_i64((g * 8 + i) % 20 - 10),
-                            &f.secrets.lwe_sk,
-                            &mut f.sampler,
-                        ))
-                    })
-                    .collect()
-            })
-            .collect();
-        let eng = &f.engine;
-        let lut = Lut::from_signed_fn(t, |x| x.max(0));
-        let mut s1 = PipelineStats::default();
-        let singles: Vec<_> = groups
-            .iter()
-            .map(|g| eng.pack_fbs_s2c(g, &lut, &f.keys, &mut s1))
-            .collect();
-        par::set_threads(1);
-        let mut s2 = PipelineStats::default();
-        let b1 = eng.pack_fbs_s2c_batch(&groups, &lut, &f.keys, &mut s2);
-        par::set_threads(4);
-        let mut s3 = PipelineStats::default();
-        let b4 = eng.pack_fbs_s2c_batch(&groups, &lut, &f.keys, &mut s3);
-        par::set_threads(0);
-        let pos: Vec<usize> = (0..8).collect();
-        for i in 0..groups.len() {
-            let want = eng.decrypt_coeffs(&singles[i], &pos, &f.secrets);
-            assert_eq!(
-                eng.decrypt_coeffs(&b1[i], &pos, &f.secrets),
-                want,
-                "group {i}"
-            );
-            assert_eq!(
-                eng.decrypt_coeffs(&b4[i], &pos, &f.secrets),
-                want,
-                "group {i}"
-            );
-        }
-        for s in [&s2, &s3] {
-            assert_eq!(s.fbs_calls, s1.fbs_calls);
-            assert_eq!(s.packs, s1.packs);
-            assert_eq!(s.s2c_calls, s1.s2c_calls);
-            assert_eq!(s.fbs, s1.fbs);
-        }
     }
 
     #[test]
@@ -889,10 +751,7 @@ mod tests {
         let ct = f
             .engine
             .encrypt_at(&values, &positions, &f.secrets, &mut f.sampler);
-        let mut stats = PipelineStats::default();
-        let mid = f
-            .engine
-            .extract_lwes_mid(&ct, &positions, &f.keys, &mut stats);
+        let mid = f.engine.extract_lwes_mid(&ct, &positions, &f.keys);
         assert_ne!(mid[0].q(), f.engine.context().t(), "LWEs stay at q_mid");
         let dec = f.engine.decrypt_lwes(&mid, &f.secrets);
         assert_eq!(dec, values, "client-bound extraction must be exact");
@@ -909,12 +768,9 @@ mod tests {
             .iter()
             .map(|&v| LweCiphertext::encrypt(tm.from_i64(v), &f.secrets.lwe_sk, &mut f.sampler))
             .collect();
-        let mut stats = PipelineStats::default();
         // exp(x/8)·5 ∈ {14, 5, 2}; sum = 21; inv = round(105/21) = 5;
         // products {70, 25, 10} < t/2.
-        let out = f
-            .engine
-            .encrypted_softmax(&lwes, 8.0, 5.0, 105.0, &f.keys, &mut stats);
+        let out = f.engine.encrypted_softmax(&lwes, 8.0, 5.0, 105.0, &f.keys);
         let dec = f.engine.decrypt_lwes(&out, &f.secrets);
         // Expected (up to LUT rounding and e_ms): the dominant logit's
         // softmax mass clearly exceeds the others (small entries carry
@@ -936,7 +792,6 @@ mod tests {
         for (i, (&got, &want)) in dec.iter().zip(&plain).enumerate() {
             assert!((got - want).abs() <= 35, "softmax {i}: {got} vs {want}");
         }
-        assert_eq!(stats.fbs_calls, 3, "exp + inverse + identity bridge");
     }
 
     #[test]
@@ -951,13 +806,11 @@ mod tests {
         };
         let a: Vec<LweCiphertext> = xs.iter().map(|&v| enc(v, &mut f)).collect();
         let b: Vec<LweCiphertext> = ys.iter().map(|&v| enc(v, &mut f)).collect();
-        let mut stats = PipelineStats::default();
-        let m = f.engine.lwe_max(&a, &b, &f.keys, &mut stats);
+        let m = f.engine.lwe_max(&a, &b, &f.keys);
         let dec = f.engine.decrypt_lwes(&m, &f.secrets);
         for (i, ((&x, &y), &got)) in xs.iter().zip(&ys).zip(&dec).enumerate() {
             let want = x.max(y);
             assert!((got - want).abs() <= 6, "max {i}: got {got}, want {want}");
         }
-        assert_eq!(stats.fbs_calls, 1, "one |·| LUT per max round");
     }
 }

@@ -21,12 +21,13 @@
 
 use athena_fhe::bfv::BfvCiphertext;
 use athena_fhe::extract::SmallRlwe;
-use athena_fhe::fbs::{expected_stats, FbsStats, Lut};
+use athena_fhe::fbs::{expected_stats, Lut};
 use athena_fhe::lwe::LweCiphertext;
 use athena_math::modops::Modulus;
 use athena_math::sampler::Sampler;
+use athena_math::stats::op_stats::HomOpCounts;
 
-use crate::pipeline::{AthenaEngine, AthenaEvalKeys, AthenaSecrets, PipelineStats};
+use crate::pipeline::{fbs_needs_mask, AthenaEngine, AthenaEvalKeys, AthenaSecrets};
 use crate::simulate::NoiseSpec;
 use crate::trace::OpCounts;
 
@@ -73,7 +74,7 @@ pub trait PlanBackend {
     fn output(&mut self, acc: &[Self::Lwe], scale: f64) -> Vec<f64>;
     /// Drains the analytic counts accrued since the last call (the
     /// [`CountingBackend`]'s channel; other backends report none — their
-    /// measured counts come from the `op-stats` counters instead).
+    /// measured counts come from the `op_stats` counters instead).
     fn take_counts(&mut self) -> OpCounts {
         OpCounts::default()
     }
@@ -93,7 +94,6 @@ pub struct EncryptedBackend<'a> {
     secrets: &'a AthenaSecrets,
     keys: &'a AthenaEvalKeys,
     sampler: &'a mut Sampler,
-    stats: PipelineStats,
 }
 
 impl<'a> EncryptedBackend<'a> {
@@ -109,13 +109,7 @@ impl<'a> EncryptedBackend<'a> {
             secrets,
             keys,
             sampler,
-            stats: PipelineStats::default(),
         }
-    }
-
-    /// The aggregate pipeline statistics accrued so far.
-    pub fn into_stats(self) -> PipelineStats {
-        self.stats
     }
 }
 
@@ -136,7 +130,7 @@ impl PlanBackend for EncryptedBackend<'_> {
         kernel: &[i64],
         bias: &[(usize, i64)],
     ) -> BfvCiphertext {
-        self.engine.linear(ct, kernel, bias, &mut self.stats)
+        self.engine.linear(ct, kernel, bias)
     }
 
     fn mod_switch(&mut self, ct: &BfvCiphertext) -> SmallRlwe {
@@ -144,7 +138,8 @@ impl PlanBackend for EncryptedBackend<'_> {
     }
 
     fn extract_lwes(&mut self, mid: &SmallRlwe, positions: &[usize]) -> Vec<LweCiphertext> {
-        self.engine.sample_extract(mid, positions, &mut self.stats)
+        self.engine
+            .sample_extract(mid, positions, &mut crate::pipeline::PipelineStats)
     }
 
     fn dim_switch(&mut self, big: Vec<LweCiphertext>, drop_to_t: bool) -> Vec<LweCiphertext> {
@@ -160,7 +155,7 @@ impl PlanBackend for EncryptedBackend<'_> {
     }
 
     fn pack(&mut self, slots: &[Option<LweCiphertext>]) -> BfvCiphertext {
-        self.engine.pack(slots, self.keys, &mut self.stats)
+        self.engine.pack(slots, self.keys)
     }
 
     fn fbs(
@@ -169,12 +164,11 @@ impl PlanBackend for EncryptedBackend<'_> {
         lut: &Lut,
         slots: &[Option<LweCiphertext>],
     ) -> BfvCiphertext {
-        self.engine
-            .fbs(packed, lut, slots, self.keys, &mut self.stats)
+        self.engine.fbs(packed, lut, slots, self.keys)
     }
 
     fn s2c(&mut self, ct: &BfvCiphertext) -> BfvCiphertext {
-        self.engine.s2c(ct, self.keys, &mut self.stats)
+        self.engine.s2c(ct, self.keys)
     }
 
     fn output(&mut self, acc: &[LweCiphertext], scale: f64) -> Vec<f64> {
@@ -327,8 +321,7 @@ impl PlanBackend for NoiseSimBackend {
     }
 
     fn fbs(&mut self, packed: &Vec<i64>, lut: &Lut, slots: &[Option<SimLwe>]) -> Vec<i64> {
-        let needs_mask =
-            lut.get(0) != 0 && (slots.len() < self.n || slots.iter().any(|o| o.is_none()));
+        let needs_mask = fbs_needs_mask(lut, slots, self.n);
         (0..self.n)
             .map(|i| {
                 let filled = matches!(slots.get(i), Some(Some(_)));
@@ -358,13 +351,8 @@ impl PlanBackend for NoiseSimBackend {
 /// is non-trivial), and the non-valid-slot mask PMult when needed.
 pub(crate) fn fbs_analytic(lut: &Lut, mask: bool) -> OpCounts {
     let es = expected_stats(lut);
-    let mut c = OpCounts {
-        cmult: es.cmult as u64,
-        smult: es.smult as u64,
-        hadd: es.hadd as u64,
-        ..OpCounts::default()
-    };
-    if es != FbsStats::default() {
+    let mut c = super::counts_from_hom(&es);
+    if es != HomOpCounts::default() {
         c.hadd += 1; // the constant-coefficient add_plain
     }
     if mask {
@@ -431,8 +419,7 @@ impl PlanBackend for CountingBackend<'_> {
     }
 
     fn fbs(&mut self, _packed: &(), lut: &Lut, slots: &[Option<()>]) {
-        let n = self.engine.context().n();
-        let needs_mask = lut.get(0) != 0 && (slots.len() < n || slots.iter().any(|o| o.is_none()));
+        let needs_mask = fbs_needs_mask(lut, slots, self.engine.context().n());
         self.counts.add(&fbs_analytic(lut, needs_mask));
     }
 

@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use athena_fhe::FheError;
 
-use super::exec::{NoiseExhausted, NoiseProbe};
+use super::exec::NoiseExhausted;
 use super::fault::FaultPlan;
 use super::ir::CompileError;
 
@@ -244,8 +244,10 @@ pub struct RunPolicy {
     /// Retry discipline for transient faults.
     pub retry: RetryPolicy,
     /// Whether to probe the measured noise budget after every
-    /// RLWE-producing step (needs the secret key; tests/debugging only).
-    pub probe: Option<NoiseProbe>,
+    /// RLWE-producing step and fail with [`AthenaError::NoiseExhausted`]
+    /// when one reaches zero (needs the secret key; tests/debugging only).
+    /// A [`super::FaultKind::NoiseSpike`] fault turns it on regardless.
+    pub probe: bool,
     /// Faults to inject (chaos testing); `None` in production.
     pub faults: Option<FaultPlan>,
 }
@@ -265,7 +267,7 @@ impl RunPolicy {
 
     /// A policy with the noise probe on.
     pub fn with_probe(mut self) -> Self {
-        self.probe = Some(NoiseProbe::On);
+        self.probe = true;
         self
     }
 

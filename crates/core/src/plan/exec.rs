@@ -5,11 +5,11 @@
 //! is generic over [`PlanBackend`], so all three backends interpret the
 //! identical step structure. Three drivers walk the plan:
 //!
-//! * [`execute`] / [`execute_probed`] / [`execute_resilient`] — the
-//!   encrypted run, with optional per-step noise probing, measured
-//!   `op-stats` brackets, and (for the resilient form) per-step
-//!   `catch_unwind` isolation, cooperative deadlines, fault injection,
-//!   and scratch-arena quarantine on unwind;
+//! * [`execute_resilient`] (and [`execute`], its panicking default-policy
+//!   form) — the encrypted run, with per-step `op_stats`/`alloc_stats`
+//!   brackets, optional noise probing, per-step `catch_unwind`
+//!   isolation, cooperative deadlines, fault injection, and scratch-arena
+//!   quarantine on unwind;
 //! * [`execute_sim`] — the plan-driven noise-faithful simulation
 //!   ([`super::NoiseSimBackend`]);
 //! * [`execute_counting`] — the value-free analytic dry run
@@ -42,7 +42,7 @@ use athena_math::sampler::Sampler;
 use athena_math::stats::{alloc_stats, op_stats};
 use athena_nn::tensor::ITensor;
 
-use crate::pipeline::{AthenaEngine, AthenaEvalKeys, AthenaSecrets, PipelineStats};
+use crate::pipeline::{AthenaEngine, AthenaEvalKeys, AthenaSecrets};
 use crate::simulate::NoiseSpec;
 use crate::trace::{OpCounts, Phase};
 
@@ -64,12 +64,12 @@ pub struct StepReport {
     pub phase: Phase,
     /// Compile-time analytic counts.
     pub analytic: OpCounts,
-    /// Counter-measured counts (zero when the `op-stats` feature is off,
-    /// and attributable only when no other thread drives the engine
-    /// concurrently — the counters are process-global).
+    /// Counter-measured counts (`op_stats`), attributable only when no
+    /// other thread drives the engine concurrently — the counters are
+    /// process-global.
     pub measured: OpCounts,
-    /// Arena limb-buffer allocation counts of the step (zero when the
-    /// `alloc-stats` feature is off; process-global, like `measured`).
+    /// Arena limb-buffer allocation counts of the step (`alloc_stats`;
+    /// process-global, like `measured`).
     /// `takes` and the drop total are schedule-independent; the
     /// `fresh`/pooled split of a *cold* step depends on thread
     /// interleaving, so only the warm-pool invariant `fresh == 0` is
@@ -79,9 +79,9 @@ pub struct StepReport {
     /// ([`super::PlanStep::noise_bits`]).
     pub noise_bits: u32,
     /// Measured invariant-noise budget of the step's RLWE output, sampled
-    /// right after the step ran. `Some` only under [`NoiseProbe::On`] and
-    /// only for RLWE-producing steps (`linear`, `pack`, `fbs`, `s2c`) —
-    /// extraction and LWE-level steps have no `Q`-basis ciphertext to
+    /// right after the step ran. `Some` only when the run probes
+    /// ([`RunPolicy::probe`]) and only for RLWE-producing steps
+    /// (`linear`, `pack`, `fbs`, `s2c`) — extraction and LWE-level steps have no `Q`-basis ciphertext to
     /// probe, and the pooling composite's inner chains end at the LWE
     /// level.
     pub noise_budget: Option<i64>,
@@ -140,28 +140,11 @@ impl std::fmt::Display for NoiseExhausted {
 
 impl std::error::Error for NoiseExhausted {}
 
-/// Whether [`execute_probed`] samples the measured noise budget after
-/// every step. Probing needs the secret key (already supplied to the
-/// executor for input encryption) and is for tests/debugging only: a
-/// production server holds no secret key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NoiseProbe {
-    /// No probing; `noise_budget`/`noise_consumed` stay `None` and the
-    /// execution cannot fail.
-    Off,
-    /// Probe after every RLWE-producing step and fail with
-    /// [`NoiseExhausted`] the moment a budget reaches zero, instead of
-    /// silently decrypting garbage at the end.
-    On,
-}
-
 /// Result of executing a plan.
 #[derive(Debug)]
 pub struct PlanRun {
     /// Decrypted float logits.
     pub logits: Vec<f64>,
-    /// Aggregate pipeline statistics.
-    pub stats: PipelineStats,
     /// Per-step analytic vs measured counts, in execution order.
     pub steps: Vec<StepReport>,
     /// Budget of the freshly encrypted input (probe mode only): the
@@ -229,6 +212,29 @@ fn place_input(plan: &ExecutionPlan, input: &ITensor) -> Vec<i64> {
     coeffs
 }
 
+/// The one plain plan walk: encrypts `coeffs`, interprets every step in
+/// order (calling `after_step` after each) and returns the logits. No
+/// resilience wrapping.
+fn walk<B: PlanBackend>(
+    backend: &mut B,
+    plan: &ExecutionPlan,
+    coeffs: &[i64],
+    mut after_step: impl FnMut(&mut B),
+) -> Vec<f64> {
+    let mut st = ExecState::new(plan);
+    st.values[0] = Some(backend.encrypt_input(coeffs));
+    let mut flat = 0usize;
+    for layer in &plan.layers {
+        for (si, step) in layer.steps.iter().enumerate() {
+            backend.note_step(layer.node, si, flat);
+            run_step(backend, plan, &step.op, &mut st);
+            after_step(backend);
+            flat += 1;
+        }
+    }
+    st.logits
+}
+
 /// Drives `backend` through the whole plan — encrypt plus every step, in
 /// order, with no resilience wrapping — and returns the logits.
 /// Crate-internal: the chaos sweep uses it to replay fault plans through
@@ -238,18 +244,7 @@ pub(crate) fn drive_plain<B: PlanBackend>(
     plan: &ExecutionPlan,
     input: &ITensor,
 ) -> Vec<f64> {
-    let coeffs = place_input(plan, input);
-    let mut st = ExecState::new(plan);
-    st.values[0] = Some(backend.encrypt_input(&coeffs));
-    let mut flat = 0usize;
-    for layer in &plan.layers {
-        for (si, step) in layer.steps.iter().enumerate() {
-            backend.note_step(layer.node, si, flat);
-            run_step(backend, plan, &step.op, &mut st);
-            flat += 1;
-        }
-    }
-    st.logits
+    walk(backend, plan, &place_input(plan, input), |_| {})
 }
 
 /// Interprets one step against a backend. All control flow — including
@@ -403,8 +398,10 @@ pub(crate) fn run_step<B: PlanBackend>(
 ///
 /// Bit-identical to the pre-plan monolithic loop: the steps perform the
 /// same exact modular arithmetic in the same order, and the only sampler
-/// draws are the input encryption's. Equivalent to [`execute_probed`] with
-/// [`NoiseProbe::Off`], which cannot fail.
+/// draws are the input encryption's. This is [`execute_resilient`] under
+/// the default [`RunPolicy`] (no probe, no faults), with failures raised
+/// as panics: a typed [`FheError`] is re-raised as itself, anything else
+/// as its message.
 pub fn execute(
     engine: &AthenaEngine,
     secrets: &AthenaSecrets,
@@ -413,8 +410,17 @@ pub fn execute(
     input: &ITensor,
     sampler: &mut Sampler,
 ) -> PlanRun {
-    execute_probed(engine, secrets, keys, plan, input, sampler, NoiseProbe::Off)
-        .expect("unprobed execution cannot exhaust")
+    let policy = RunPolicy::default();
+    match execute_resilient(
+        engine, secrets, keys, plan, input, sampler, &policy, 1, None,
+    ) {
+        Ok(run) => run,
+        Err(AthenaError::Fhe { source, .. }) => athena_fhe::error::raise(source),
+        Err(AthenaError::KeyMissing {
+            element, available, ..
+        }) => athena_fhe::error::raise(FheError::KeyMissing { element, available }),
+        Err(e) => std::panic::panic_any(e.to_string()),
+    }
 }
 
 /// Per-register noise-budget tracker for probe mode: mirrors the RLWE
@@ -432,47 +438,6 @@ struct NoiseTracker {
     boot: Option<i64>,
 }
 
-/// Executes a compiled plan, optionally sampling the measured
-/// invariant-noise budget after every RLWE-producing step.
-///
-/// With [`NoiseProbe::On`] the returned [`StepReport`]s carry
-/// `noise_budget`/`noise_consumed` alongside the analytic `noise_bits`
-/// charge, and the execution aborts with a typed [`NoiseExhausted`] error
-/// the moment a probed budget reaches zero — the paper's Table-4 invariant
-/// ("total noise stays under Δ/2") made observable and enforced at
-/// runtime, instead of decrypting garbage logits. Probing performs no
-/// sampler draws and no homomorphic ops, so the logits (and the measured
-/// op counts) are bit-identical with the probe on or off.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_probed(
-    engine: &AthenaEngine,
-    secrets: &AthenaSecrets,
-    keys: &AthenaEvalKeys,
-    plan: &ExecutionPlan,
-    input: &ITensor,
-    sampler: &mut Sampler,
-    probe: NoiseProbe,
-) -> Result<PlanRun, NoiseExhausted> {
-    let policy = RunPolicy {
-        probe: Some(probe),
-        ..RunPolicy::default()
-    };
-    match execute_resilient(
-        engine, secrets, keys, plan, input, sampler, &policy, 1, None,
-    ) {
-        Ok(run) => Ok(run),
-        Err(AthenaError::NoiseExhausted(ne)) => Err(ne),
-        // This driver keeps the pre-resilience contract: faults other
-        // than exhaustion propagate as panics (re-raised typed where the
-        // payload was typed).
-        Err(AthenaError::Fhe { source, .. }) => athena_fhe::error::raise(source),
-        Err(AthenaError::KeyMissing {
-            element, available, ..
-        }) => athena_fhe::error::raise(FheError::KeyMissing { element, available }),
-        Err(e) => std::panic::panic_any(e.to_string()),
-    }
-}
-
 /// Executes one attempt of a compiled plan under a [`RunPolicy`]: every
 /// step runs inside `catch_unwind` with the scratch arena quarantined on
 /// unwind, a cooperative deadline is checked before each step, and the
@@ -481,8 +446,15 @@ pub fn execute_probed(
 /// loop on; `attempt` (1-based) and `batch_input` scope the fault plan's
 /// filters.
 ///
-/// With a default policy the run is bit-identical to [`execute`]: no
-/// extra sampler draws, no homomorphic ops, the same step order.
+/// With [`RunPolicy::probe`] set, the returned [`StepReport`]s carry
+/// `noise_budget`/`noise_consumed` alongside the analytic `noise_bits`
+/// charge, and the run fails with [`AthenaError::NoiseExhausted`] the
+/// moment a probed budget reaches zero — the paper's Table-4 invariant
+/// ("total noise stays under Δ/2") enforced at runtime instead of
+/// decrypting garbage logits. Probing performs no sampler draws and no
+/// homomorphic ops, so logits and measured op counts are bit-identical
+/// with the probe on or off; it reads the secret key, so it is for
+/// tests and debugging only.
 ///
 /// [`FaultKind::NoiseSpike`] faults force the probe on — an artificial
 /// budget burn is only observable at a probe point. A spike injected at a
@@ -513,25 +485,11 @@ pub fn execute_resilient(
             .iter()
             .any(|f| matches!(f.kind, FaultKind::NoiseSpike { .. }))
     });
-    let probe = match policy.probe {
-        Some(p) => p,
-        None if spikes => NoiseProbe::On,
-        None => NoiseProbe::Off,
-    };
+    let probe = policy.probe || spikes;
     match &policy.faults {
         None => {
             let backend = EncryptedBackend::new(engine, secrets, keys, sampler);
-            drive_resilient(
-                backend,
-                |_| 0,
-                EncryptedBackend::into_stats,
-                engine,
-                secrets,
-                plan,
-                input,
-                policy,
-                probe,
-            )
+            drive_resilient(backend, |_| 0, engine, secrets, plan, input, policy, probe)
         }
         Some(fp) => {
             let backend = FaultInjectingBackend::new(
@@ -543,7 +501,6 @@ pub fn execute_resilient(
             drive_resilient(
                 backend,
                 FaultInjectingBackend::take_spike,
-                |b| b.into_inner().into_stats(),
                 engine,
                 secrets,
                 plan,
@@ -609,13 +566,12 @@ fn classify_panic(
 fn drive_resilient<B>(
     mut backend: B,
     mut take_spike: impl FnMut(&mut B) -> u32,
-    into_stats: impl FnOnce(B) -> PipelineStats,
     engine: &AthenaEngine,
     secrets: &AthenaSecrets,
     plan: &ExecutionPlan,
     input: &ITensor,
     policy: &RunPolicy,
-    probe: NoiseProbe,
+    probe: bool,
 ) -> Result<PlanRun, AthenaError>
 where
     B: PlanBackend<Rlwe = BfvCiphertext>,
@@ -641,20 +597,17 @@ where
 
     let budget_of =
         |ct: &BfvCiphertext| BfvEvaluator::new(engine.context()).noise_budget(ct, &secrets.sk);
-    let mut tracker = match probe {
-        NoiseProbe::Off => None,
-        NoiseProbe::On => {
-            let fresh = budget_of(st.values[0].as_ref().expect("input encrypted"));
-            let mut values = vec![None; plan.layers.len() + 1];
-            values[0] = Some(fresh);
-            Some(NoiseTracker {
-                fresh,
-                values,
-                packed: None,
-                boot: None,
-            })
+    let mut tracker = probe.then(|| {
+        let fresh = budget_of(st.values[0].as_ref().expect("input encrypted"));
+        let mut values = vec![None; plan.layers.len() + 1];
+        values[0] = Some(fresh);
+        NoiseTracker {
+            fresh,
+            values,
+            packed: None,
+            boot: None,
         }
-    };
+    });
 
     let mut reports = Vec::with_capacity(plan.step_count());
     let mut carry_spike: i64 = 0;
@@ -744,7 +697,6 @@ where
     }
     Ok(PlanRun {
         logits: st.logits,
-        stats: into_stats(backend),
         steps: reports,
         fresh_budget: tracker.map(|t| t.fresh),
     })
@@ -801,21 +753,11 @@ pub fn execute_sim(
     noise: &NoiseSpec,
     sampler: &mut Sampler,
 ) -> SimRun {
-    let coeffs = place_input(plan, input);
     let mut backend = NoiseSimBackend::new(plan, noise, sampler);
-    let mut st = ExecState::new(plan);
-    st.values[0] = Some(backend.encrypt_input(&coeffs));
-    let mut flat = 0usize;
-    for layer in &plan.layers {
-        for (si, step) in layer.steps.iter().enumerate() {
-            backend.note_step(layer.node, si, flat);
-            run_step(&mut backend, plan, &step.op, &mut st);
-            flat += 1;
-        }
-    }
+    let logits = drive_plain(&mut backend, plan, input);
     SimRun {
-        predicted: crate::util::argmax(&st.logits),
-        logits: st.logits,
+        predicted: crate::util::argmax(&logits),
+        logits,
     }
 }
 
@@ -825,18 +767,9 @@ pub fn execute_sim(
 /// exposed so tests and reports can re-derive the counts independently.
 pub fn execute_counting(engine: &AthenaEngine, plan: &ExecutionPlan) -> Vec<OpCounts> {
     let mut backend = CountingBackend::new(engine);
-    let mut st = ExecState::new(plan);
-    backend.encrypt_input(&vec![0i64; plan.n]);
-    st.values[0] = Some(());
     let mut out = Vec::with_capacity(plan.step_count());
-    let mut flat = 0usize;
-    for layer in &plan.layers {
-        for (si, step) in layer.steps.iter().enumerate() {
-            backend.note_step(layer.node, si, flat);
-            run_step(&mut backend, plan, &step.op, &mut st);
-            out.push(backend.take_counts());
-            flat += 1;
-        }
-    }
+    walk(&mut backend, plan, &vec![0i64; plan.n], |b| {
+        out.push(b.take_counts())
+    });
     out
 }

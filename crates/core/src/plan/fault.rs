@@ -44,8 +44,8 @@ pub enum FaultKind {
     CorruptLimb,
     /// `bits` of artificial noise-budget consumption charged at the
     /// step's probe point (carried forward to the next probed step when
-    /// the step itself produces no RLWE value). Only observable under
-    /// [`super::NoiseProbe::On`].
+    /// the step itself produces no RLWE value). Forces
+    /// [`super::RunPolicy::probe`] on, since only a probe observes it.
     NoiseSpike {
         /// Budget bits to burn.
         bits: u32,
@@ -237,11 +237,6 @@ impl<'p, B: PlanBackend> FaultInjectingBackend<'p, B> {
     /// last call (bits).
     pub fn take_spike(&mut self) -> u32 {
         std::mem::take(&mut self.pending_spike)
-    }
-
-    /// Unwraps the inner backend.
-    pub fn into_inner(self) -> B {
-        self.inner
     }
 
     fn maybe_corrupt(&mut self, mut v: B::Rlwe) -> B::Rlwe

@@ -16,7 +16,7 @@ use athena_nn::tensor::ITensor;
 use std::fmt;
 
 use crate::encoding::{ConvEncoder, EncodingError};
-use crate::pipeline::{AthenaEngine, AthenaEvalKeys, AthenaSecrets, PackingMethod};
+use crate::pipeline::{fbs_needs_mask, AthenaEngine, AthenaEvalKeys, AthenaSecrets, PackingMethod};
 use crate::trace::{LayerTrace, ModelTrace, OpCounts, Phase, TraceParams};
 
 use super::exec::execute_counting;
@@ -428,7 +428,7 @@ pub struct PlanStep {
     /// switch, LWE adds, output) charge 0; the pooling composite charges
     /// its worst single inner pack→FBS→S2C chain (each round restarts from
     /// fresh packing noise, so one round's chain is the binding
-    /// constraint). The probe mode of [`super::execute_probed`] pins
+    /// constraint). A probed run ([`super::RunPolicy::probe`]) pins
     /// `charge ≥ measured consumption` per step.
     pub noise_bits: u32,
 }
@@ -1143,7 +1143,7 @@ pub fn try_compile(
                 slot_of: layout.slot_of.clone(),
             },
         });
-        let needs_mask = lut.get(0) != 0 && layout.slot_of.iter().any(|s| s.is_none());
+        let needs_mask = fbs_needs_mask(&lut, &layout.slot_of, n);
         let fbs_phase = match &node.op {
             QOp::Linear(_) => Phase::Activation,
             _ => Phase::Pooling,

@@ -10,7 +10,7 @@
 //! accumulation, residual re-extraction, and pooling decompositions are
 //! written once and retargeted across three backends:
 //!
-//! * [`EncryptedBackend`] ([`execute`] / [`execute_probed`]) — real
+//! * [`EncryptedBackend`] ([`execute`] / [`execute_resilient`]) — real
 //!   RNS-BFV via the [`crate::pipeline::AthenaEngine`] primitives,
 //!   bit-identical to the pre-plan `infer::run_encrypted` path — every
 //!   step is exact modular arithmetic, so re-grouping the loop cannot
@@ -62,8 +62,8 @@ pub use backend::{CountingBackend, EncryptedBackend, NoiseSimBackend, PlanBacken
 pub use error::{AthenaError, RetryPolicy, RunPolicy};
 pub(crate) use exec::drive_plain;
 pub use exec::{
-    execute, execute_counting, execute_probed, execute_resilient, execute_sim, NoiseExhausted,
-    NoiseProbe, PlanRun, SimRun, StepReport,
+    execute, execute_counting, execute_resilient, execute_sim, NoiseExhausted, PlanRun, SimRun,
+    StepReport,
 };
 pub use fault::{FaultInjectingBackend, FaultKind, FaultPlan, FaultSpec, FaultTarget};
 pub(crate) use ir::validate_model;

@@ -532,7 +532,7 @@ fn run_one(
             Ok(run) => {
                 return Ok(EncryptedInference {
                     logits: run.logits,
-                    stats: run.stats,
+                    steps: run.steps,
                 })
             }
             Err(e) if e.is_transient() && attempt < max_attempts => {

@@ -2,7 +2,7 @@
 //!
 //! * steady-state plan-step execution on a warm [`InferenceSession`]
 //!   performs **zero** fresh limb-buffer heap allocations (`fresh == 0`
-//!   in the `alloc-stats` counters) — the tentpole invariant;
+//!   in the `alloc_stats` counters) — the tentpole invariant;
 //! * the checkout totals are thread-count invariant (the work is
 //!   deterministic, only its scheduling changes);
 //! * pool poisoning proves no step reads stale buffer contents: with
@@ -98,7 +98,6 @@ fn input(k: usize) -> ITensor {
 /// generated, pool populated by a first run), a repeat `run_encrypted`
 /// checks every limb buffer out of the pool — zero fresh heap
 /// allocations in the limb hot path.
-#[cfg(feature = "alloc-stats")]
 #[test]
 fn warm_session_steady_state_has_zero_fresh_limb_allocations() {
     let _g = lock();
@@ -127,7 +126,6 @@ fn warm_session_steady_state_has_zero_fresh_limb_allocations() {
 
 /// The checkout total of one inference is determined by the executed
 /// ops, not by how they were scheduled: identical at 1 and 4 workers.
-#[cfg(feature = "alloc-stats")]
 #[test]
 fn limb_checkout_totals_are_thread_count_invariant() {
     let _g = lock();

@@ -11,9 +11,7 @@
 //! decompositions in the BSGS schedules plus the FBS tensor-lift cache
 //! must keep the layer at least 30% below the Eval-resident measurement.
 
-#![cfg(feature = "op-stats")]
-
-use athena_core::pipeline::{AthenaEngine, PackingMethod, PipelineStats};
+use athena_core::pipeline::{AthenaEngine, PackingMethod};
 use athena_fhe::fbs::Lut;
 use athena_fhe::lwe::LweCiphertext;
 use athena_fhe::params::BfvParams;
@@ -59,11 +57,10 @@ fn five_step_layer_beats_coeff_resident_baseline() {
     let lut = Lut::from_signed_fn(t, |x| x.max(0));
 
     let ((), counts) = ntt_stats::measure(|| {
-        let mut stats = PipelineStats::default();
-        let conv = engine.linear(&ct, &kernel, &[], &mut stats);
-        let lw = engine.extract_lwes(&conv, &positions, &keys, &mut stats);
+        let conv = engine.linear(&ct, &kernel, &[]);
+        let lw = engine.extract_lwes(&conv, &positions, &keys);
         let opt: Vec<Option<LweCiphertext>> = lw.into_iter().map(Some).collect();
-        std::hint::black_box(engine.pack_fbs_s2c(&opt, &lut, &keys, &mut stats));
+        std::hint::black_box(engine.pack_fbs_s2c(&opt, &lut, &keys));
     });
 
     assert!(

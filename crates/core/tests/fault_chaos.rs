@@ -157,7 +157,6 @@ fn panic_at_every_step_surfaces_typed_and_recovers() {
 /// refills it (fresh checkouts), and the one after is warm again. The
 /// quarantine trades one cold run for the guarantee that nothing the
 /// faulted attempt touched is ever recycled.
-#[cfg(feature = "alloc-stats")]
 #[test]
 fn quarantine_costs_one_cold_run_then_warms() {
     use athena_math::stats::alloc_stats;

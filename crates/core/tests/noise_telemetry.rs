@@ -2,7 +2,7 @@
 //!
 //! Mirrors `plan_counts.rs` for the noise dimension: the plan compiler
 //! attaches an analytic Table-4 noise charge (`PlanStep::noise_bits`) to
-//! every step, and the executor's probe mode samples the real
+//! every step, and a probed run (`RunPolicy::probe`) samples the real
 //! `BfvEvaluator::noise_budget` after every RLWE-producing step. This file
 //! pins the contract between the two:
 //!
@@ -17,20 +17,40 @@
 //! * probing changes nothing: logits are bit-identical with the probe on
 //!   or off (the probe performs no homomorphic ops and no sampler draws).
 //!
-//! The probe reads `op-stats`-free code paths only, but the executor still
+//! The probe reads no op counters, but the executor still
 //! measures global counters around each step, so tests serialize on the
 //! same counter mutex pattern as `plan_counts.rs`.
 
 use std::sync::Mutex;
 
 use athena_core::pipeline::{AthenaEngine, PackingMethod};
-use athena_core::plan::{self, NoiseProbe, StepReport};
+use athena_core::pipeline::{AthenaEvalKeys, AthenaSecrets};
+use athena_core::plan::{self, AthenaError, ExecutionPlan, NoiseExhausted, RunPolicy, StepReport};
 use athena_fhe::params::BfvParams;
 use athena_math::sampler::Sampler;
 use athena_nn::qmodel::{Activation, QLinear, QModel, QNode, QOp, QuantConfig};
 use athena_nn::tensor::ITensor;
 
 static COUNTER_GUARD: Mutex<()> = Mutex::new(());
+
+/// One probed attempt: the run, or the typed exhaustion it stopped at.
+fn probe_plan(
+    engine: &AthenaEngine,
+    secrets: &AthenaSecrets,
+    keys: &AthenaEvalKeys,
+    plan: &ExecutionPlan,
+    input: &ITensor,
+    sampler: &mut Sampler,
+) -> Result<plan::PlanRun, NoiseExhausted> {
+    let policy = RunPolicy::default().with_probe();
+    match plan::execute_resilient(
+        engine, secrets, keys, plan, input, sampler, &policy, 1, None,
+    ) {
+        Ok(run) => Ok(run),
+        Err(AthenaError::NoiseExhausted(e)) => Err(e),
+        Err(e) => panic!("probed run failed: {e}"),
+    }
+}
 
 fn linear_node(
     shape: &[usize],
@@ -131,16 +151,8 @@ fn run_probed(
     let compiled = plan::compile(&engine, model, in_shape);
     let mut sampler = Sampler::from_seed(seed);
     let (secrets, keys) = engine.keygen_for_plan(&compiled, &mut sampler);
-    plan::execute_probed(
-        &engine,
-        &secrets,
-        &keys,
-        &compiled,
-        &input,
-        &mut sampler,
-        NoiseProbe::On,
-    )
-    .expect("test_small has ample budget")
+    probe_plan(&engine, &secrets, &keys, &compiled, &input, &mut sampler)
+        .expect("test_small has ample budget")
 }
 
 fn assert_telemetry_contract(run: &plan::PlanRun, tag: &str) {
@@ -262,16 +274,8 @@ fn probe_mode_is_pure_observation() {
 
     let mut s2 = Sampler::from_seed(6_060);
     let (sec2, keys2) = engine.keygen_for_plan(&compiled, &mut s2);
-    let probed = plan::execute_probed(
-        &engine,
-        &sec2,
-        &keys2,
-        &compiled,
-        &input,
-        &mut s2,
-        NoiseProbe::On,
-    )
-    .expect("ample budget");
+    let probed =
+        probe_plan(&engine, &sec2, &keys2, &compiled, &input, &mut s2).expect("ample budget");
 
     assert_eq!(plain.logits, probed.logits, "probe changed the arithmetic");
     assert!(plain.fresh_budget.is_none() && plain.steps.iter().all(|s| s.noise_budget.is_none()));
@@ -302,16 +306,8 @@ fn exhaustion_surfaces_as_typed_error() {
     let compiled = plan::compile(&engine, &model, input.shape());
     let mut sampler = Sampler::from_seed(7_070);
     let (secrets, keys) = engine.keygen_for_plan(&compiled, &mut sampler);
-    let err = plan::execute_probed(
-        &engine,
-        &secrets,
-        &keys,
-        &compiled,
-        &input,
-        &mut sampler,
-        NoiseProbe::On,
-    )
-    .expect_err("100-bit Q cannot survive a depth-9 FBS");
+    let err = probe_plan(&engine, &secrets, &keys, &compiled, &input, &mut sampler)
+        .expect_err("100-bit Q cannot survive a depth-9 FBS");
     assert!(
         err.budget <= 0,
         "exhaustion error carries a positive budget: {err}"

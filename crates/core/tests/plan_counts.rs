@@ -4,7 +4,7 @@
 //!
 //! 1. the plan compiler's per-step `analytic` counts (schedule dry-runs:
 //!    `pack_expected_op_counts`, `expected_stats`, `SlotToCoeff::op_counts`);
-//! 2. the `op-stats` counters measured around the executor's real
+//! 2. the `op_stats` counters measured around the executor's real
 //!    homomorphic calls;
 //! 3. `trace.rs`'s closed-form production cost model (Table 3 constants,
 //!    `O(∛N)`-factored S2C, `t_eff` LUTs).
@@ -17,11 +17,9 @@
 //! they diverge (BSGS constants after the PR 3 hoisting rework, S2C
 //! factorization) the divergence is bounded and explained.
 //!
-//! The `op-stats` counters are process-global relaxed atomics; tests that
+//! The `op_stats` counters are process-global relaxed atomics; tests that
 //! read them serialize on one mutex (same pattern as
 //! `crates/fhe/tests/hoisting.rs`).
-
-#![cfg(feature = "op-stats")]
 
 use std::sync::Mutex;
 
@@ -82,7 +80,6 @@ fn conv_model() -> QModel {
 /// compile time from the schedules (BSGS splits, diagonal occupancy, LUT
 /// dry-run); the measured side is counted at the ring-op choke points —
 /// two independent code paths.
-#[cfg(feature = "op-stats")]
 #[test]
 fn measured_counts_match_plan_analytic_per_step() {
     let _lock = COUNTER_GUARD.lock().unwrap();
@@ -121,7 +118,6 @@ fn measured_counts_match_plan_analytic_per_step() {
 /// Where `trace.rs`'s production model and the measured executor count the
 /// same physical quantity, they agree exactly: extracted samples per layer
 /// (one per output activation) and FBS invocation volume.
-#[cfg(feature = "op-stats")]
 #[test]
 fn trace_model_extraction_counts_match_measured() {
     let _lock = COUNTER_GUARD.lock().unwrap();
@@ -174,10 +170,8 @@ fn trace_model_extraction_counts_match_measured() {
 ///
 /// These bounds pin the constants: a schedule regression (e.g. losing the
 /// hoisted giant steps) would push CMult or SMult outside them.
-#[cfg(feature = "op-stats")]
 #[test]
 fn trace_fbs_formula_vs_measured_fbs_drift_is_pinned() {
-    use athena_core::pipeline::PipelineStats;
     use athena_fhe::fbs::Lut;
     use athena_fhe::lwe::LweCiphertext;
     use athena_math::stats::op_stats;
@@ -186,7 +180,6 @@ fn trace_fbs_formula_vs_measured_fbs_drift_is_pinned() {
     let engine = AthenaEngine::new(BfvParams::test_small());
     let mut sampler = Sampler::from_seed(4_042);
     let (secrets, keys) = engine.keygen(&mut sampler);
-    let mut stats = PipelineStats::default();
     let t = engine.context().t();
 
     // A ReLU-like remap LUT with nearly full support (only ~half the table
@@ -202,8 +195,8 @@ fn trace_fbs_formula_vs_measured_fbs_drift_is_pinned() {
             ))
         })
         .collect();
-    let packed = engine.pack(&lwes, &keys, &mut stats);
-    let (_, hom) = op_stats::measure(|| engine.fbs(&packed, &lut, &lwes, &keys, &mut stats));
+    let packed = engine.pack(&lwes, &keys);
+    let (_, hom) = op_stats::measure(|| engine.fbs(&packed, &lut, &lwes, &keys));
 
     let formula = {
         // trace.rs's closed form at t_eff = t (test scale has no headroom
@@ -256,14 +249,13 @@ fn s2c_factorization_drift_is_documented() {
     assert_eq!(s2c_counts.hrot, single_stage_hrot);
 }
 
-/// Per-step measured counts are thread-count invariant: the `op-stats`
+/// Per-step measured counts are thread-count invariant: the `op_stats`
 /// counters are process-global relaxed atomics bumped from worker threads,
 /// so a mis-scoped measurement window (or counter bumps escaping a step's
 /// `measure()` bracket from still-running workers) would show up as counts
 /// drifting between serial and parallel runs. Pins the serial run and a
 /// 4-worker run of the same seeded plan to identical per-step counts —
 /// the CI `ATHENA_THREADS={1,4}` matrix relies on this invariance.
-#[cfg(feature = "op-stats")]
 #[test]
 fn per_step_counts_are_thread_count_invariant() {
     let _lock = COUNTER_GUARD.lock().unwrap();
@@ -292,5 +284,90 @@ fn per_step_counts_are_thread_count_invariant() {
     assert_eq!(
         serial.logits, parallel.logits,
         "threading changed arithmetic"
+    );
+}
+
+/// The engine's composite calls cost exactly the schedules they run, on
+/// the one counter: a pack → FBS → S2C loop is one packing, one FBS of its
+/// LUT (plus the constant HAdd) and one S2C; a max-tree round is one ReLU
+/// FBS; the softmax is the exp, inverse and identity FBS passes plus the
+/// joining CMult. FBS is the only source of CMult/SMult, so the totals
+/// pin the number of FBS calls and the LUT each one ran.
+#[test]
+fn engine_composites_cost_exactly_their_lut_schedules() {
+    use athena_fhe::fbs::{expected_stats, Lut};
+    use athena_fhe::lwe::LweCiphertext;
+    use athena_math::modops::Modulus;
+    use athena_math::stats::op_stats::{self, HomOpCounts};
+
+    let _lock = COUNTER_GUARD.lock().unwrap();
+    let engine = AthenaEngine::new(BfvParams::test_small());
+    let mut sampler = Sampler::from_seed(90_210);
+    let (secrets, keys) = engine.keygen(&mut sampler);
+    let t = engine.context().t();
+    let tm = Modulus::new(t);
+    let mut encrypt = |vals: &[i64]| -> Vec<LweCiphertext> {
+        vals.iter()
+            .map(|&v| LweCiphertext::encrypt(tm.from_i64(v), &secrets.lwe_sk, &mut sampler))
+            .collect()
+    };
+    let fbs_total = |luts: &[&Lut]| {
+        let mut c = HomOpCounts::default();
+        for lut in luts {
+            c.add(&expected_stats(lut));
+        }
+        c
+    };
+
+    // One loop: 9 slots through a remap LUT that keeps 0 at 0 (no mask).
+    let lut = Lut::from_signed_fn(t, |x| if x > 0 { (x + 2) / 4 } else { 0 });
+    let slots: Vec<_> = encrypt(&[3, -7, 12, 0, 5, -1, 9, 2, -4])
+        .into_iter()
+        .map(Some)
+        .collect();
+    let (_, measured) = op_stats::measure(|| engine.pack_fbs_s2c(&slots, &lut, &keys));
+    let mut want = engine.pack_expected_op_counts(slots.len());
+    want.add(&expected_stats(&lut));
+    want.hadd += 1; // the FBS constant-coefficient add
+    want.add(&engine.slot_to_coeff().op_counts());
+    assert_eq!(
+        measured, want,
+        "pack_fbs_s2c = one pack + one FBS + one S2C"
+    );
+    assert!(measured.cmult > 0 && measured.smult > 0);
+
+    // One max-tree round: exactly one ReLU FBS.
+    let relu = Lut::from_signed_fn(t, |x| x.max(0));
+    let a = encrypt(&[10, -20, 32, 5]);
+    let b = encrypt(&[-10, 30, 31, 5]);
+    let (_, measured) = op_stats::measure(|| engine.lwe_max(&a, &b, &keys));
+    let want = fbs_total(&[&relu]);
+    assert_eq!(
+        (measured.cmult, measured.smult),
+        (want.cmult, want.smult),
+        "one |·| LUT per max round"
+    );
+
+    // Softmax: exp + inverse + identity bridge, then one CMult.
+    let logits = encrypt(&[8, 0, -8]);
+    let (in_div, exp_scale, inv_num) = (8.0f64, 5.0f64, 105.0f64);
+    let exp_lut = Lut::from_signed_fn(t, move |x| {
+        ((x as f64 / in_div).exp() * exp_scale).round() as i64
+    });
+    let inv_lut = Lut::from_signed_fn(t, move |v| {
+        if v <= 0 {
+            0
+        } else {
+            (inv_num / v as f64).round() as i64
+        }
+    });
+    let id_lut = Lut::from_signed_fn(t, |x| x);
+    let (_, measured) =
+        op_stats::measure(|| engine.encrypted_softmax(&logits, in_div, exp_scale, inv_num, &keys));
+    let want = fbs_total(&[&exp_lut, &inv_lut, &id_lut]);
+    assert_eq!(
+        (measured.cmult, measured.smult),
+        (want.cmult + 1, want.smult),
+        "exp + inverse + identity bridge, joined by one CMult"
     );
 }

@@ -18,7 +18,7 @@ use athena_nn::tensor::ITensor;
 /// The pre-plan inference loop, frozen.
 mod legacy {
     use athena_core::encoding::ConvEncoder;
-    use athena_core::pipeline::{AthenaEngine, AthenaEvalKeys, AthenaSecrets, PipelineStats};
+    use athena_core::pipeline::{AthenaEngine, AthenaEvalKeys, AthenaSecrets};
     use athena_fhe::bfv::BfvCiphertext;
     use athena_fhe::fbs::Lut;
     use athena_fhe::lwe::LweCiphertext;
@@ -99,7 +99,6 @@ mod legacy {
         let n = engine.context().n();
         let t = engine.context().t();
         let a_max = model.cfg.a_max();
-        let mut stats = PipelineStats::default();
 
         let in_layout = consumer_layout(model, 0, input.shape(), n);
         let input_sv = {
@@ -126,20 +125,14 @@ mod legacy {
                 .clone();
             let (out_lwes, out_shape): (Vec<LweCiphertext>, Vec<usize>) = match &node.op {
                 QOp::Linear(l) => {
-                    let (acc_lwes, shape) =
-                        run_linear_accumulate(engine, keys, &sv, l, is_last, &mut stats);
+                    let (acc_lwes, shape) = run_linear_accumulate(engine, keys, &sv, l, is_last);
                     let mut acc_lwes = acc_lwes;
                     if let Some((skip_idx, mult)) = node.skip {
                         let skip_sv = values[skip_idx].as_ref().expect("skip stored");
                         let skip_lwes = if is_last {
-                            engine.extract_lwes_mid(
-                                &skip_sv.ct,
-                                &skip_sv.positions,
-                                keys,
-                                &mut stats,
-                            )
+                            engine.extract_lwes_mid(&skip_sv.ct, &skip_sv.positions, keys)
                         } else {
-                            engine.extract_lwes(&skip_sv.ct, &skip_sv.positions, keys, &mut stats)
+                            engine.extract_lwes(&skip_sv.ct, &skip_sv.positions, keys)
                         };
                         assert_eq!(skip_lwes.len(), acc_lwes.len());
                         for (a, s) in acc_lwes.iter_mut().zip(&skip_lwes) {
@@ -149,7 +142,7 @@ mod legacy {
                     (acc_lwes, shape)
                 }
                 QOp::MaxPool { k } => {
-                    let lwes = engine.extract_lwes(&sv.ct, &sv.positions, keys, &mut stats);
+                    let lwes = engine.extract_lwes(&sv.ct, &sv.positions, keys);
                     let (c, h, w) = (sv.shape[0], sv.shape[1], sv.shape[2]);
                     let (oh, ow) = (h / k, w / k);
                     let mut streams: Vec<Vec<LweCiphertext>> = Vec::with_capacity(k * k);
@@ -171,12 +164,12 @@ mod legacy {
                     while streams.len() > 1 {
                         let b = streams.pop().expect("len > 1");
                         let a = streams.pop().expect("len > 1");
-                        streams.push(engine.lwe_max(&a, &b, keys, &mut stats));
+                        streams.push(engine.lwe_max(&a, &b, keys));
                     }
                     (streams.pop().expect("one stream left"), vec![c, oh, ow])
                 }
                 QOp::AvgPool { k } => {
-                    let lwes = engine.extract_lwes(&sv.ct, &sv.positions, keys, &mut stats);
+                    let lwes = engine.extract_lwes(&sv.ct, &sv.positions, keys);
                     let (c, h, w) = (sv.shape[0], sv.shape[1], sv.shape[2]);
                     let (oh, ow) = (h / k, w / k);
                     let mut sums = Vec::with_capacity(c * oh * ow);
@@ -236,7 +229,7 @@ mod legacy {
                 }
                 QOp::MaxPool { .. } => Lut::from_signed_fn(t, |v| v),
             };
-            let ct = engine.pack_fbs_s2c(&slots, &lut, keys, &mut stats);
+            let ct = engine.pack_fbs_s2c(&slots, &lut, keys);
             assert_eq!(layout.positions.len(), out_len);
             values.push(Some(StoredValue {
                 ct,
@@ -254,7 +247,6 @@ mod legacy {
         sv: &StoredValue,
         l: &QLinear,
         client_bound: bool,
-        stats: &mut PipelineStats,
     ) -> (Vec<LweCiphertext>, Vec<usize>) {
         let n = engine.context().n();
         let (c_out, c_in, k) = (
@@ -324,11 +316,11 @@ mod legacy {
                     }
                 }
             }
-            let conv_ct = engine.linear(&sv.ct, &enc.encode_kernel(&kw), &bias_at, stats);
+            let conv_ct = engine.linear(&sv.ct, &enc.encode_kernel(&kw), &bias_at);
             all_lwes.extend(if client_bound {
-                engine.extract_lwes_mid(&conv_ct, &positions, keys, stats)
+                engine.extract_lwes_mid(&conv_ct, &positions, keys)
             } else {
-                engine.extract_lwes(&conv_ct, &positions, keys, stats)
+                engine.extract_lwes(&conv_ct, &positions, keys)
             });
         }
         (all_lwes, vec![c_out, out_hw, out_hw])

@@ -4,7 +4,7 @@
 //! drops both to `t` — and `lwe_add_scaled` + `decrypt_lwes` are exact at
 //! either level.
 
-use athena_core::pipeline::{AthenaEngine, PipelineStats};
+use athena_core::pipeline::AthenaEngine;
 use athena_fhe::params::BfvParams;
 use athena_math::sampler::Sampler;
 
@@ -25,7 +25,6 @@ fn residual_add_at_q_mid_is_exact() {
     let engine = AthenaEngine::new(BfvParams::test_small());
     let mut sampler = Sampler::from_seed(24_601);
     let (secrets, keys) = engine.keygen(&mut sampler);
-    let mut stats = PipelineStats::default();
     let n = engine.context().n();
     let t = engine.context().t() as i64;
 
@@ -42,8 +41,8 @@ fn residual_add_at_q_mid_is_exact() {
     let ct_a = engine.encrypt_at(&a_coeffs, &all, &secrets, &mut sampler);
     let ct_b = engine.encrypt_at(&b_coeffs, &all, &secrets, &mut sampler);
 
-    let lwes_a = engine.extract_lwes_mid(&ct_a, &positions, &keys, &mut stats);
-    let lwes_b = engine.extract_lwes_mid(&ct_b, &positions, &keys, &mut stats);
+    let lwes_a = engine.extract_lwes_mid(&ct_a, &positions, &keys);
+    let lwes_b = engine.extract_lwes_mid(&ct_b, &positions, &keys);
     assert!(
         lwes_a.iter().all(|c| c.q() == engine.q_mid()),
         "client-bound LWEs must stay at q_mid"
@@ -71,7 +70,6 @@ fn residual_add_at_t_round_trips() {
     let engine = AthenaEngine::new(BfvParams::test_small());
     let mut sampler = Sampler::from_seed(24_602);
     let (secrets, keys) = engine.keygen(&mut sampler);
-    let mut stats = PipelineStats::default();
     let n = engine.context().n();
     let t = engine.context().t();
 
@@ -88,8 +86,8 @@ fn residual_add_at_t_round_trips() {
     let ct_a = engine.encrypt_at(&a_coeffs, &all, &secrets, &mut sampler);
     let ct_b = engine.encrypt_at(&b_coeffs, &all, &secrets, &mut sampler);
 
-    let lwes_a = engine.extract_lwes(&ct_a, &positions, &keys, &mut stats);
-    let lwes_b = engine.extract_lwes(&ct_b, &positions, &keys, &mut stats);
+    let lwes_a = engine.extract_lwes(&ct_a, &positions, &keys);
+    let lwes_b = engine.extract_lwes(&ct_b, &positions, &keys);
     assert!(lwes_a.iter().all(|c| c.q() == t), "pipeline LWEs live at t");
 
     let mult = 2i64;
@@ -119,14 +117,13 @@ fn mixed_modulus_residual_add_panics() {
     let engine = AthenaEngine::new(BfvParams::test_small());
     let mut sampler = Sampler::from_seed(24_603);
     let (secrets, keys) = engine.keygen(&mut sampler);
-    let mut stats = PipelineStats::default();
     let n = engine.context().n();
 
     let positions = vec![0usize];
     let coeffs = vec![1i64; n];
     let all: Vec<usize> = (0..n).collect();
     let ct = engine.encrypt_at(&coeffs, &all, &secrets, &mut sampler);
-    let at_mid = engine.extract_lwes_mid(&ct, &positions, &keys, &mut stats);
-    let at_t = engine.extract_lwes(&ct, &positions, &keys, &mut stats);
+    let at_mid = engine.extract_lwes_mid(&ct, &positions, &keys);
+    let at_t = engine.extract_lwes(&ct, &positions, &keys);
     let _ = engine.lwe_add_scaled(&at_mid[0], &at_t[0], 1);
 }

@@ -185,6 +185,60 @@ fn run_batch_matches_sequential_at_any_thread_count() {
     }
 }
 
+/// Every `run_batch` item carries the plan's per-step records: one
+/// `StepReport` per plan step with the plan's labels, analytic counts and
+/// noise charges, and the same records as sequential `run_encrypted`
+/// calls. (The measured counts are process-global, so they are not
+/// compared across a concurrent batch.)
+#[test]
+fn batch_items_carry_the_plan_step_reports() {
+    use athena_core::plan::StepReport;
+    use athena_core::trace::OpCounts;
+    fn shape(steps: &[StepReport]) -> Vec<(usize, usize, &'static str, OpCounts, u32)> {
+        steps
+            .iter()
+            .map(|s| (s.node, s.step, s.label, s.analytic, s.noise_bits))
+            .collect()
+    }
+    let model = model_with(-2);
+    let imgs = inputs(3);
+    let mut session = InferenceSession::new(AthenaEngine::new(BfvParams::test_small()), 4, 78);
+    let plan = session.plan_for(&model, &[1, 5, 5]);
+    let from_plan: Vec<_> = plan
+        .layers
+        .iter()
+        .flat_map(|l| {
+            l.steps
+                .iter()
+                .enumerate()
+                .map(move |(si, s)| (l.node, si, s.op.label(), s.analytic, s.noise_bits))
+        })
+        .collect();
+    assert_eq!(from_plan.len(), plan.step_count());
+
+    let mut sampler = Sampler::from_seed(556);
+    let sequential: Vec<_> = imgs
+        .iter()
+        .map(|img| {
+            let run = session
+                .run_encrypted(&model, img, &mut sampler)
+                .expect("clean run");
+            shape(&run.steps)
+        })
+        .collect();
+    let mut sampler = Sampler::from_seed(556);
+    let batch = session
+        .run_batch(&model, &imgs, &mut sampler)
+        .expect("batch runs");
+    for (i, (item, seq)) in batch.iter().zip(&sequential).enumerate() {
+        let item = item.as_ref().expect("clean batch item");
+        assert_eq!(item.steps.len(), plan.step_count(), "input {i}");
+        assert_eq!(shape(&item.steps), from_plan, "input {i}: batch vs plan");
+        assert_eq!(&shape(&item.steps), seq, "input {i}: batch vs sequential");
+        assert_eq!(seq, &from_plan, "input {i}: sequential vs plan");
+    }
+}
+
 #[test]
 fn empty_batch_is_a_no_op() {
     let mut session = InferenceSession::new(AthenaEngine::new(BfvParams::test_small()), 2, 9);

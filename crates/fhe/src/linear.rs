@@ -115,7 +115,7 @@ impl HomLinearTransform {
     }
 
     /// Exact operation counts of one [`apply`](Self::apply) call, derived
-    /// from the cached diagonal sparsity — these match the op-stats-measured
+    /// from the cached diagonal sparsity — these match the `op_stats`-measured
     /// counts bit for bit (the schedule is deterministic):
     ///
     /// * `pmult` — one per cached (non-zero) generalized diagonal;

@@ -1,6 +1,6 @@
 //! Domain-representation invariants: rotation chains stay NTT-resident,
 //! lazy Coeff conversion happens only at the forced boundaries, and the
-//! `op-stats` counters prove the NTT budget of a key-switched rotation.
+//! `op_stats`/`ntt_stats` counters prove the NTT budget of a key-switched rotation.
 //!
 //! The counters are process-global relaxed atomics, so every test in this
 //! binary — including the ones that only check values — serializes on one
@@ -139,7 +139,6 @@ fn pmult_and_add_plain_are_domain_preserving() {
 /// decomposition — for the pre-refactor Coeff-resident path this operation
 /// cost 4k² forward + 2k² inverse (100 + 50 at k = 5; see
 /// `reports/domain_ntt_baseline.txt`).
-#[cfg(feature = "op-stats")]
 #[test]
 fn eval_rotation_does_no_body_forward_ntts() {
     use athena_math::stats::ntt_stats;
@@ -173,7 +172,6 @@ fn eval_rotation_does_no_body_forward_ntts() {
 
 /// A second rotation chained onto the first costs exactly the same budget —
 /// residency means no re-conversion between hops.
-#[cfg(feature = "op-stats")]
 #[test]
 fn chained_rotations_pay_no_conversion_between_hops() {
     use athena_math::stats::ntt_stats;
@@ -195,4 +193,59 @@ fn chained_rotations_pay_no_conversion_between_hops() {
     });
     assert_eq!(counts.forward, 2 * k * k);
     assert_eq!(counts.inverse, 2 * k);
+}
+
+/// FBS op counts on the one counter: a measured [`fbs_apply`] performs
+/// exactly the [`expected_stats`] schedule plus the final constant HAdd
+/// (none for a constant LUT, whose evaluation is trivial), within Alg. 2's
+/// `O(√t)` CMult and `O(t)` SMult bounds, and a batch of `k` costs exactly
+/// `k` single calls at any worker count.
+#[test]
+fn fbs_measured_counts_equal_expected_schedule() {
+    use athena_fhe::bfv::RelinKey;
+    use athena_fhe::fbs::{expected_stats, fbs_apply, fbs_apply_batch, fbs_split, Lut};
+    use athena_math::par;
+    use athena_math::stats::op_stats::{self, HomOpCounts};
+    let _lock = COUNTER_GUARD.lock().unwrap();
+    let mut f = setup();
+    let rlk = RelinKey::generate(&f.ctx, &f.sk, &mut f.sampler);
+    let ev = BfvEvaluator::new(&f.ctx);
+    let enc = f.ctx.encoder();
+    let t = f.ctx.t();
+    let vals: Vec<u64> = (0..f.ctx.n() as u64).map(|i| i % t).collect();
+    let ct = ev.encrypt_sk(&enc.encode(&vals), &f.sk, &mut f.sampler);
+
+    let remap = Lut::from_signed_fn(t, |x| if x > 0 { (x + 2) / 4 } else { 0 });
+    let (_, measured) = op_stats::measure(|| fbs_apply(&f.ctx, &ct, &remap, &rlk));
+    let want = HomOpCounts {
+        hadd: expected_stats(&remap).hadd + 1,
+        ..expected_stats(&remap)
+    };
+    assert_eq!(
+        measured, want,
+        "fbs_apply vs expected_stats + constant HAdd"
+    );
+    // Alg. 2 structure: CMult is O(√t), SMult is O(t).
+    let split = fbs_split(t);
+    assert!(
+        measured.cmult <= 2 * (split.baby + split.giant) as u64,
+        "cmult = {}",
+        measured.cmult
+    );
+    assert!(measured.smult <= t, "smult = {}", measured.smult);
+
+    let constant = Lut::from_fn(t, |_| 42);
+    let (_, measured) = op_stats::measure(|| fbs_apply(&f.ctx, &ct, &constant, &rlk));
+    assert_eq!(expected_stats(&constant), HomOpCounts::default());
+    assert_eq!(measured, HomOpCounts::default(), "constant LUT is trivial");
+
+    let cts = vec![ct.clone(), ct];
+    for threads in [1, 4] {
+        par::set_threads(threads);
+        let (_, batch) = op_stats::measure(|| fbs_apply_batch(&f.ctx, &cts, &remap, &rlk));
+        let mut two = want;
+        two.add(&want);
+        assert_eq!(batch, two, "batch of 2 at {threads} threads");
+    }
+    par::set_threads(0);
 }

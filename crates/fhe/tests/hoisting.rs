@@ -1,7 +1,7 @@
 //! Hoisted-rotation invariants: decompose-once/rotate-many is bit-identical
 //! to the eager path, deterministic under any worker count, noise-neutral,
 //! and actually shares the digit decomposition (one per source, not one per
-//! rotation — proved with the `op-stats` counters).
+//! rotation — proved with the `athena_math::stats` counters).
 //!
 //! The counters are process-global relaxed atomics, so every test in this
 //! binary serializes on one mutex to keep `measure` deltas attributable
@@ -135,7 +135,6 @@ fn hoisted_rotation_noise_budget_matches_eager() {
 /// times performs exactly **one** digit decomposition — `k` inverse plus
 /// `k²` forward NTTs in total, zero additional NTTs per rotation — where
 /// the eager schedule pays the full bill R times.
-#[cfg(feature = "op-stats")]
 #[test]
 fn hoisted_schedule_shares_one_decomposition() {
     use athena_math::stats::{ntt_stats, rot_stats};
@@ -188,7 +187,6 @@ fn hoisted_schedule_shares_one_decomposition() {
 
 /// `HomLinearTransform::rotation_count()` equals the HRot count an actual
 /// dense `apply` performs, as measured by the rotation counters.
-#[cfg(feature = "op-stats")]
 #[test]
 fn linear_rotation_count_matches_measured() {
     use athena_math::stats::rot_stats;
@@ -229,7 +227,6 @@ fn linear_rotation_count_matches_measured() {
 /// `BsgsPackingKey::rotation_count()` equals the HRot count an actual
 /// `pack` call performs, and the baby rotations ride on the digit cache
 /// hoisted at `generate` time (zero decompositions during pack).
-#[cfg(feature = "op-stats")]
 #[test]
 fn pack_rotation_count_matches_measured() {
     use athena_math::stats::rot_stats;

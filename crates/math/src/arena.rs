@@ -55,7 +55,7 @@
 //! the generation at checkout; a buffer from a pre-quarantine generation
 //! is freed, never re-pooled, when it finally drops. The next run re-warms
 //! the pool from fresh allocations (one cold run after a fault — visible
-//! as `fresh > 0` in the `alloc-stats` counters, then `fresh == 0` again).
+//! as `fresh > 0` in the `alloc_stats` counters, then `fresh == 0` again).
 //!
 //! A panic *inside* the arena (while a shard lock is held) poisons that
 //! shard's mutex. Every lock site recovers: the poisoned shard's contents
@@ -463,6 +463,10 @@ impl From<Vec<u64>> for LimbVec {
 mod tests {
     use super::*;
 
+    /// The two tests that call `quarantine()` read the global generation
+    /// around their own bump, so they must not bump concurrently.
+    static QUARANTINE_GUARD: Mutex<()> = Mutex::new(());
+
     #[test]
     fn take_recycle_roundtrip_reuses_buffer() {
         // Use a length nothing else in the process plausibly uses so the
@@ -521,6 +525,7 @@ mod tests {
 
     #[test]
     fn quarantine_frees_in_flight_checkouts_instead_of_pooling() {
+        let _guard = QUARANTINE_GUARD.lock().unwrap();
         // Unique length so concurrent tests cannot feed this bucket.
         let len = 12353;
         let held = LimbVec::take_raw(len);
@@ -540,6 +545,7 @@ mod tests {
 
     #[test]
     fn quarantine_bumps_generation_and_flushes_pool() {
+        let _guard = QUARANTINE_GUARD.lock().unwrap();
         let len = 12361;
         drop(LimbVec::take_raw(len)); // ensure something is pooled
         let g0 = generation();

@@ -2,10 +2,8 @@
 //!
 //! The domain-aware refactor keeps ciphertexts and key material in Eval
 //! (NTT) form end-to-end; these counters let tests and benches *prove* the
-//! round-trips are gone rather than merely moved. Counting is compiled in
-//! under the default-on `op-stats` feature and costs one relaxed atomic
-//! increment per transform; with the feature disabled the API still exists
-//! but every call is a no-op and every read returns zero.
+//! round-trips are gone rather than merely moved. Counting is always
+//! compiled in and costs one relaxed atomic increment per event.
 //!
 //! Counters are process-global. Tests that assert exact counts must not run
 //! concurrently with other NTT work — keep them in a dedicated integration
@@ -21,7 +19,6 @@
 
 /// Forward/inverse negacyclic NTT counters.
 pub mod ntt_stats {
-    #[cfg(feature = "op-stats")]
     mod imp {
         use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -44,20 +41,6 @@ pub mod ntt_stats {
 
         pub fn inverse_count() -> u64 {
             INVERSE.load(Ordering::Relaxed)
-        }
-    }
-
-    #[cfg(not(feature = "op-stats"))]
-    mod imp {
-        #[inline]
-        pub fn record_forward() {}
-        #[inline]
-        pub fn record_inverse() {}
-        pub fn forward_count() -> u64 {
-            0
-        }
-        pub fn inverse_count() -> u64 {
-            0
         }
     }
 
@@ -105,7 +88,6 @@ pub mod ntt_stats {
 /// relinearizations alike), so `decompose ≪ eager + hoisted` is the proof
 /// that a schedule actually shares its source decompositions.
 pub mod rot_stats {
-    #[cfg(feature = "op-stats")]
     mod imp {
         use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -138,25 +120,6 @@ pub mod rot_stats {
 
         pub fn decompose_count() -> u64 {
             DECOMPOSE.load(Ordering::Relaxed)
-        }
-    }
-
-    #[cfg(not(feature = "op-stats"))]
-    mod imp {
-        #[inline]
-        pub fn record_eager() {}
-        #[inline]
-        pub fn record_hoisted() {}
-        #[inline]
-        pub fn record_decompose() {}
-        pub fn eager_count() -> u64 {
-            0
-        }
-        pub fn hoisted_count() -> u64 {
-            0
-        }
-        pub fn decompose_count() -> u64 {
-            0
         }
     }
 
@@ -213,7 +176,6 @@ pub mod rot_stats {
 /// from a cache (the CMult analogue of rotation hoisting — BSGS polynomial
 /// evaluation reuses the same powers across many products).
 pub mod lift_stats {
-    #[cfg(feature = "op-stats")]
     mod imp {
         use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -236,20 +198,6 @@ pub mod lift_stats {
 
         pub fn reused_count() -> u64 {
             REUSED.load(Ordering::Relaxed)
-        }
-    }
-
-    #[cfg(not(feature = "op-stats"))]
-    mod imp {
-        #[inline]
-        pub fn record_computed() {}
-        #[inline]
-        pub fn record_reused() {}
-        pub fn computed_count() -> u64 {
-            0
-        }
-        pub fn reused_count() -> u64 {
-            0
         }
     }
 
@@ -299,7 +247,6 @@ pub mod lift_stats {
 /// (additions, per-LWE modulus drops, dimension-switch MACs) is below this
 /// abstraction and deliberately uncounted, matching the analytic model.
 pub mod op_stats {
-    #[cfg(feature = "op-stats")]
     mod imp {
         use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -356,27 +303,6 @@ pub mod op_stats {
                 SAMPLE_EXTRACT.load(Ordering::Relaxed),
                 MOD_SWITCH.load(Ordering::Relaxed),
             ]
-        }
-    }
-
-    #[cfg(not(feature = "op-stats"))]
-    mod imp {
-        #[inline]
-        pub fn record_pmult() {}
-        #[inline]
-        pub fn record_cmult() {}
-        #[inline]
-        pub fn record_smult() {}
-        #[inline]
-        pub fn record_hadd() {}
-        #[inline]
-        pub fn record_hrot() {}
-        #[inline]
-        pub fn record_sample_extract() {}
-        #[inline]
-        pub fn record_mod_switch() {}
-        pub fn raw() -> [u64; 7] {
-            [0; 7]
         }
     }
 
@@ -468,14 +394,11 @@ pub mod op_stats {
 /// (`crate::arena`): checkouts, fresh heap allocations (pool misses),
 /// recycles, and cap-driven frees.
 ///
-/// Compiled in under the default-on `alloc-stats` feature (the pooling
-/// itself is always on — only the telemetry is gated). `takes` and
-/// `recycled` are schedule-independent and therefore thread-count
+/// `takes` and `recycled` are schedule-independent and therefore thread-count
 /// invariant per plan step; the `fresh`/pooled split of a *cold* run
 /// depends on thread interleaving, so only the steady-state invariant
 /// `fresh == 0` (warm pool) is pinned across thread counts.
 pub mod alloc_stats {
-    #[cfg(feature = "alloc-stats")]
     mod imp {
         use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -511,21 +434,6 @@ pub mod alloc_stats {
                 RECYCLED.load(Ordering::Relaxed),
                 FREED.load(Ordering::Relaxed),
             ]
-        }
-    }
-
-    #[cfg(not(feature = "alloc-stats"))]
-    mod imp {
-        #[inline]
-        pub fn record_take() {}
-        #[inline]
-        pub fn record_fresh() {}
-        #[inline]
-        pub fn record_recycle() {}
-        #[inline]
-        pub fn record_freed() {}
-        pub fn raw() -> [u64; 4] {
-            [0; 4]
         }
     }
 
@@ -592,7 +500,7 @@ pub mod alloc_stats {
     }
 }
 
-#[cfg(all(test, feature = "alloc-stats"))]
+#[cfg(test)]
 mod alloc_tests {
     use super::alloc_stats;
     use crate::arena::LimbVec;
@@ -614,7 +522,7 @@ mod alloc_tests {
     }
 }
 
-#[cfg(all(test, feature = "op-stats"))]
+#[cfg(test)]
 mod tests {
     use super::{lift_stats, ntt_stats, op_stats, rot_stats};
     use crate::poly::Ring;

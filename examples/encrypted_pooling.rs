@@ -81,9 +81,10 @@ fn main() {
             enc.logits,
             start.elapsed()
         );
+        let cmult: u64 = enc.steps.iter().map(|s| s.measured.cmult).sum();
         println!(
-            "{:13} FBS calls: {} (max-tree costs k^2-1 = 3 extra rounds vs avg's divide LUT)",
-            "", enc.stats.fbs_calls
+            "{:13} FBS CMults: {cmult} (max-tree costs k^2-1 = 3 extra ReLU rounds vs avg's divide LUT)",
+            ""
         );
     }
 }

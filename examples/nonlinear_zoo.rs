@@ -12,6 +12,7 @@ use athena::fhe::fbs::{fbs_apply, Lut};
 use athena::fhe::params::BfvParams;
 use athena::math::modops::Modulus;
 use athena::math::sampler::Sampler;
+use athena::math::stats::op_stats;
 use athena::nn::qmodel::Activation;
 
 fn main() {
@@ -63,7 +64,7 @@ fn main() {
     );
     for (name, lut) in &luts {
         let start = std::time::Instant::now();
-        let (out, stats) = fbs_apply(&ctx, &ct, lut, &rlk);
+        let (out, stats) = op_stats::measure(|| fbs_apply(&ctx, &ct, lut, &rlk));
         let elapsed = start.elapsed();
         let decoded = enc.decode(&ev.decrypt(&out, &sk));
         let mut exact = 0usize;

@@ -8,6 +8,7 @@
 
 use athena::core::infer::run_encrypted;
 use athena::core::pipeline::AthenaEngine;
+use athena::core::trace::OpCounts;
 use athena::fhe::params::BfvParams;
 use athena::math::sampler::Sampler;
 use athena::nn::qmodel::{Activation, QLinear, QModel, QNode, QOp, QuantConfig};
@@ -80,14 +81,20 @@ fn main() {
     println!(
         "max logit delta  : {max_delta} (≤ one activation step expected: e_ms noise on LUT inputs)"
     );
+    // Op counts come from the run's per-step records.
+    let mut ops = OpCounts::default();
+    for s in &enc.steps {
+        ops.add(&s.measured);
+    }
+    let steps = |label: &str| enc.steps.iter().filter(|s| s.label == label).count();
     println!(
         "\npipeline ops: {} PMult, {} extractions, {} pack, {} FBS ({} CMult, {} SMult), {} S2C",
-        enc.stats.pmult,
-        enc.stats.extracts,
-        enc.stats.packs,
-        enc.stats.fbs_calls,
-        enc.stats.fbs.cmult,
-        enc.stats.fbs.smult,
-        enc.stats.s2c_calls,
+        ops.pmult,
+        ops.sample_extract,
+        steps("pack"),
+        steps("fbs"),
+        ops.cmult,
+        ops.smult,
+        steps("s2c"),
     );
 }

@@ -1,7 +1,7 @@
 //! Cross-crate integration: the five-step Athena loop under real FHE, and
 //! validation of the `e_ms` noise model that the fast simulator uses.
 
-use athena::core::pipeline::{AthenaEngine, PipelineStats};
+use athena::core::pipeline::AthenaEngine;
 use athena::core::simulate::NoiseSpec;
 use athena::fhe::fbs::Lut;
 use athena::fhe::params::BfvParams;
@@ -21,14 +21,13 @@ fn e_ms_distribution_matches_noise_model() {
     // Encrypt known values, run mod-switch + extraction + dimension switch,
     // decrypt, and collect the errors.
     let mut errors: Vec<f64> = Vec::new();
-    let mut stats = PipelineStats::default();
     for round in 0..4 {
         let values: Vec<i64> = (0..n as i64)
             .map(|i| ((i * 13 + round) % 101) - 50)
             .collect();
         let positions: Vec<usize> = (0..n).collect();
         let ct = engine.encrypt_at(&values, &positions, &secrets, &mut sampler);
-        let lwes = engine.extract_lwes(&ct, &positions, &keys, &mut stats);
+        let lwes = engine.extract_lwes(&ct, &positions, &keys);
         let decs = engine.decrypt_lwes(&lwes, &secrets);
         for (&got, &want) in decs.iter().zip(&values) {
             let mut e = got - want;
@@ -63,18 +62,17 @@ fn loop_with_sigmoid_lut() {
     let (secrets, keys) = engine.keygen(&mut sampler);
     let t = engine.context().t();
     let n = engine.context().n();
-    let mut stats = PipelineStats::default();
 
     let values: Vec<i64> = (0..n as i64).map(|i| (i % 65) - 32).collect();
     let positions: Vec<usize> = (0..n).collect();
     let ct = engine.encrypt_at(&values, &positions, &secrets, &mut sampler);
-    let lwes = engine.extract_lwes(&ct, &positions, &keys, &mut stats);
+    let lwes = engine.extract_lwes(&ct, &positions, &keys);
     // LUT: sigmoid on x/8, remapped to 4 bits.
     let lut = Lut::from_signed_fn(t, |x| {
         (15.0 / (1.0 + (-(x as f64) / 8.0).exp())).round() as i64
     });
     let opt: Vec<_> = lwes.into_iter().map(Some).collect();
-    let out = engine.pack_fbs_s2c(&opt, &lut, &keys, &mut stats);
+    let out = engine.pack_fbs_s2c(&opt, &lut, &keys);
     let got = engine.decrypt_coeffs(&out, &positions, &secrets);
     let mut close = 0;
     for (&g, &v) in got.iter().zip(&values) {
@@ -108,11 +106,10 @@ fn chained_loops_sustain_noise_budget() {
     let mut ct = engine.encrypt_at(&values, &positions, &secrets, &mut sampler);
     let ev = BfvEvaluator::new(engine.context());
     let mut budgets = Vec::new();
-    let mut stats = PipelineStats::default();
     for _ in 0..3 {
-        let lwes = engine.extract_lwes(&ct, &positions, &keys, &mut stats);
+        let lwes = engine.extract_lwes(&ct, &positions, &keys);
         let opt: Vec<_> = lwes.into_iter().map(Some).collect();
-        ct = engine.pack_fbs_s2c(&opt, &id_lut, &keys, &mut stats);
+        ct = engine.pack_fbs_s2c(&opt, &id_lut, &keys);
         budgets.push(ev.noise_budget(&ct, &secrets.sk));
     }
     // Budgets after each refresh are flat (within a few bits), not decaying.
